@@ -18,7 +18,7 @@ import sympy as sp
 from .compactify import inverse_tortoise
 from .geodesics import integrate_radial_null_geodesic
 from .leading_terms import _sphere_div_tensor, _sphere_div_vector
-from .metrics import PH, RHO0, RHOI, TH, ROUND_INV, ROUND_METRIC, MetricField
+from .metrics import PH, RHO0, RHOI, TH, ROUND_INV, ROUND_METRIC, MetricField, compile_fields
 from . import tensors
 
 #: coefficient of |news|^2 in the retarded-time transport of the mass aspect;
@@ -327,43 +327,44 @@ class NewsTensor:
     support: tuple                  # (u_start, u_end)
 
     def __post_init__(self):
-        self._pair_fns = {}
         mats = [m for _, m in self.modes]
-        for k, Ek in enumerate(mats):
-            tracek = sum(ROUND_INV[a, b] * Ek[a, b] for a in range(2) for b in range(2))
-            if sp.simplify(tracek) != 0:
+        for E in mats:
+            if sp.simplify(_round_trace(E)) != 0:
                 raise ValueError("news angular part is not trace-free")
-            for l, El in enumerate(mats):
-                expr = sum(
-                    ROUND_INV[a, c] * ROUND_INV[b, d_] * Ek[a, b] * El[c, d_]
-                    for a in range(2)
-                    for b in range(2)
-                    for c in range(2)
-                    for d_ in range(2)
-                )
-                self._pair_fns[(k, l)] = sp.lambdify((TH, PH), expr, modules="numpy")
-        self._divdiv = [
-            sp.lambdify((TH, PH), _double_divergence(m), modules="numpy")
-            for _, m in self.modes
+        pairs = [
+            sum(
+                ROUND_INV[a, c] * ROUND_INV[b, d_] * Ek[a, b] * El[c, d_]
+                for a in range(2)
+                for b in range(2)
+                for c in range(2)
+                for d_ in range(2)
+            )
+            for Ek in mats
+            for El in mats
         ]
+        # angular columns: Ek.El for every pair (k, l), row-major in k
+        self._pairs = compile_fields((TH, PH), pairs)
+        self._divdiv = compile_fields((TH, PH), [_double_divergence(E) for E in mats])
 
     def squared_norm(self, u, theta, phi):
         """|N|^2 with round-metric contractions, on (u-grid) x (angular nodes)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         amps = [np.asarray(p(u), dtype=float) for p, _ in self.modes]
+        n = len(self.modes)
+        ang = self._pairs(theta, phi)
         out = np.zeros((len(u), len(theta)))
-        for k in range(len(self.modes)):
-            for l in range(len(self.modes)):
-                ang = np.broadcast_to(self._pair_fns[(k, l)](theta, phi), theta.shape)
-                out += np.outer(amps[k] * amps[l], ang)
+        for k in range(n):
+            for l in range(n):
+                out += np.outer(amps[k] * amps[l], ang[..., k * n + l])
         return out
 
     def trace_residual(self, theta, phi):
-        total = 0.0
-        for _, E in self.modes:
-            fn = sp.lambdify((TH, PH), sum(ROUND_INV[a, b] * E[a, b] for a in range(2) for b in range(2)), modules="numpy")
-            total = max(total, float(np.max(np.abs(np.broadcast_to(fn(theta, phi), theta.shape)))))
-        return total
+        traces = compile_fields((TH, PH), [_round_trace(E) for _, E in self.modes])(theta, phi)
+        return float(np.max(np.abs(traces)))
+
+
+def _round_trace(E):
+    return sum(ROUND_INV[a, b] * E[a, b] for a in range(2) for b in range(2))
 
 
 def _double_divergence(mat):
@@ -405,11 +406,11 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
     # divergence part of the aspect: -1/4 nabla nabla integral of the news
     aspect = m + mu
     amps = [np.asarray(p(u), dtype=float) for p, _ in news.modes]
-    for k, (_, _) in enumerate(news.modes):
+    angs = news._divdiv(th, ph)
+    for k in range(len(news.modes)):
         cum = np.zeros(len(u))
         cum[1:] = np.cumsum(0.5 * du * (amps[k][1:] + amps[k][:-1]))
-        ang = np.broadcast_to(news._divdiv[k](th, ph), th.shape)
-        aspect = aspect - 0.25 * np.outer(cum, ang)
+        aspect = aspect - 0.25 * np.outer(cum, angs[..., k])
 
     mass = m + (0.25 / math.pi) * (mu @ w)
     flux = (n2 @ w) / (32.0 * math.pi)
@@ -427,23 +428,14 @@ def bondi_mass_from_data(log_coeff, h_sphere, m, quad=(24, 48)):
     spherical part; the double-divergence term integrates to zero.
     """
     th, ph, w = sphere_quadrature(*quad)
-    lead = sp.sympify(log_coeff)
-    fn = sp.lambdify((TH, PH), lead, modules="numpy")
-    transport = -0.5 * np.broadcast_to(np.asarray(fn(th, ph), dtype=float), th.shape)
+    transport = -0.5 * compile_fields((TH, PH), [sp.sympify(log_coeff)])(th, ph)[:, 0]
     divdiv = np.zeros_like(th)
     if h_sphere is not None:
-        fn2 = sp.lambdify((TH, PH), _double_divergence_raised(h_sphere), modules="numpy")
-        divdiv = np.broadcast_to(np.asarray(fn2(th, ph), dtype=float), th.shape)
+        divdiv = compile_fields((TH, PH), [_double_divergence(sp.Matrix(h_sphere))])(th, ph)[:, 0]
     aspect = m + transport - 0.25 * divdiv
     mass = m + (0.25 / math.pi) * float(np.sum(w * transport))
     div_integral = float(np.sum(w * divdiv))
     return aspect, mass, div_integral
-
-
-def _double_divergence_raised(h_sphere):
-    """Double divergence with indices raised: nabla_a nabla_b h^{ab}."""
-    mat = sp.Matrix(h_sphere)
-    return _double_divergence(mat)
 
 
 # -- static scattering solutions ----------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -141,6 +140,23 @@ SCHEMAS = {
 }
 
 
+#: how the runners read each key that is not a float
+KEY_TYPES = {"truncation": Fraction, "ell": int, "points_per_decade": int, "u_samples": int,
+             "quad_theta": int, "quad_phi": int}
+
+
+def _check_number(subcommand, key, text):
+    """Reject a value its runner could not read as a finite number."""
+    kind = KEY_TYPES.get(key, float)
+    try:
+        value = kind(text)
+    except (ValueError, ZeroDivisionError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{subcommand}: {key} = {text!r} is not {what}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{subcommand}: {key} = {text!r} is not finite")
+
+
 def resolve_options(subcommand, raw: dict) -> dict:
     schema = SCHEMAS[subcommand]
     unknown = sorted(set(raw) - set(schema))
@@ -150,6 +166,7 @@ def resolve_options(subcommand, raw: dict) -> dict:
     for key, default in schema.items():
         if key in raw:
             out[key] = raw[key]
+            _check_number(subcommand, key, raw[key])
         elif default is None:
             raise ConfigError(f"missing required config key for {subcommand}: {key}")
         else:
@@ -375,7 +392,7 @@ def _write_report(report: RunReport, outdir: Path):
     )
 
 
-def run(subcommand, config_path, outdir, jobs=1) -> int:
+def run(subcommand, config_path, outdir) -> int:
     """Execute one subcommand (or ``all``); returns the process exit code."""
     try:
         outdir = Path(outdir)
@@ -390,17 +407,8 @@ def run(subcommand, config_path, outdir, jobs=1) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
-    reports = []
-
-    def one(name):
-        return RUNNERS[name](options[name], outdir)
-
     try:
-        if jobs > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(one, names))
-        else:
-            reports = [one(name) for name in names]
+        reports = [RUNNERS[name](options[name], outdir) for name in names]
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
@@ -442,13 +450,12 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=[*RUNNERS, "all"])
     parser.add_argument("--config", default=None, help="plain key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--list-checks", action="store_true")
     args = parser.parse_args(argv)
     if args.list_checks:
         print(list_checks())
         return 0
-    return run(args.subcommand, args.config, args.out, args.jobs)
+    return run(args.subcommand, args.config, args.out)
 
 
 if __name__ == "__main__":

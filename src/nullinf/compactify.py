@@ -32,18 +32,13 @@ class MassParam:
 
 
 def _mass(m) -> float:
-    return m.m if isinstance(m, MassParam) else float(m)
+    return m.m if isinstance(m, MassParam) else MassParam(float(m)).m
 
 
 def smoothstep(x):
     """C^2 ramp 6x^5 - 15x^4 + 10x^3 clipped to [0, 1]."""
     x = np.clip(x, 0.0, 1.0)
     return x**3 * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def cutoff_upper(x, lo=2.0, hi=3.0):
-    """Smooth cutoff: identically 1 below lo, identically 0 above hi."""
-    return 1.0 - smoothstep((np.asarray(x, dtype=float) - lo) / (hi - lo))
 
 
 def cutoff_lower(x, lo=1.0 / 3.0, hi=0.5):
@@ -117,12 +112,6 @@ def inverse_tortoise(rstar, m, tol=1e-13, maxiter=100):
 
 
 # -- chart points and transitions -------------------------------------------
-
-
-@dataclass(frozen=True)
-class InteriorPoint:
-    t: float
-    x: tuple
 
 
 @dataclass(frozen=True)

@@ -63,35 +63,6 @@ class GeodesicTrajectory:
     affine_scale: float = 1.0
     acc: np.ndarray | None = None
 
-    def interpolate(self, s_values):
-        """Cubic Hermite interpolation of x and v in the logarithmic parameter."""
-        tau = np.log(self.s)
-        t_eval = np.log(np.asarray(s_values, dtype=float))
-        idx = np.clip(np.searchsorted(tau, t_eval) - 1, 0, len(tau) - 2)
-        hseg = tau[idx + 1] - tau[idx]
-        w = (t_eval - tau[idx]) / hseg
-        h00 = (1 + 2 * w) * (1 - w) ** 2
-        h10 = w * (1 - w) ** 2
-        h01 = w**2 * (3 - 2 * w)
-        h11 = w**2 * (w - 1)
-
-        def hermite(Y, dY):
-            y0 = Y[..., idx, :]
-            y1 = Y[..., idx + 1, :]
-            m0 = dY[..., idx, :] * (self.s[idx] * hseg)[..., None]
-            m1 = dY[..., idx + 1, :] * (self.s[idx + 1] * hseg)[..., None]
-            shape = (1,) * (Y.ndim - 2) + (-1, 1)
-            return (
-                h00.reshape(shape) * y0
-                + h10.reshape(shape) * m0
-                + h01.reshape(shape) * y1
-                + h11.reshape(shape) * m1
-            )
-
-        x_out = hermite(self.x, self.v)
-        v_out = hermite(self.v, self.acc)
-        return x_out, v_out
-
     def interpolate_per_member(self, s_values):
         """Evaluate member i at its own parameter s_values[i]."""
         tau = np.log(self.s)

@@ -111,9 +111,6 @@ class IndexSet:
                 break
         return best
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.generators)
-
     def restrict(self, truncation) -> "IndexSet":
         trunc = _frac(truncation)
         if trunc > self.truncation:

@@ -16,7 +16,8 @@ import numpy as np
 import sympy as sp
 
 from .compactify import _mass, tortoise
-from .metrics import PH, Q, RR, S, TH, ROUND_INV, ROUND_METRIC, MetricField, PerturbationField, Weights, _diff_ops
+from .metrics import (PH, Q, RR, S, TH, ROUND_INV, ROUND_METRIC, MetricField, PerturbationField, Weights,
+                      _diff_ops, compile_fields)
 from . import tensors
 
 
@@ -240,7 +241,6 @@ def excess_decay_slopes(
     phi=0.7,
     slack=0.1,
     line_ids=None,
-    background=None,
 ):
     """Fit the decay of (numeric - leading) for every registered line.
 
@@ -261,7 +261,7 @@ def excess_decay_slopes(
     ph = np.full(npts, phi)
 
     metric = MetricField(m, h)
-    bg = background or MetricField(m)
+    bg = MetricField(m)
     ev = metric.at(q, s, th, ph)
     ev_bg = bg.at(q, s, th, ph)
     gamma = tensors.christoffel(ev)
@@ -270,8 +270,8 @@ def excess_decay_slopes(
 
     results = []
     for line_id, (line, expr) in lines.items():
-        fn = sp.lambdify((RR, Q, S, TH, PH), expr, modules="numpy", cse=True)
-        lead = np.broadcast_to(np.asarray(fn(r, q, s, th, ph), dtype=float), (npts,))
+        # one compile per line: a shared cse pass over all lines changes the bits
+        lead = compile_fields((RR, Q, S, TH, PH), [expr])(r, q, s, th, ph)[:, 0]
         if line.kind == "gamma":
             num = gamma[(slice(None),) + line.index]
         elif line.kind == "upsilon":

@@ -11,6 +11,7 @@ vectorized numpy callables once per field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy as sp
@@ -40,6 +41,32 @@ def _diff_ops(m):
         return sp.diff(e, S) - drdq * sp.diff(e, RR)
 
     return (dq, ds, lambda e: sp.diff(e, TH), lambda e: sp.diff(e, PH))
+
+
+def compile_fields(args, exprs):
+    """Compile sympy expressions in ``args`` to one vectorized numpy callable.
+
+    The callable takes one value per symbol, passes them to the compiled
+    code unchanged, and returns a float array of shape ``(..., len(exprs))``
+    over the broadcast shape of its inputs; constant expressions are
+    broadcast to that shape.  Equal argument and expression lists share one
+    compiled function.
+    """
+    return _compiled(tuple(args), tuple(exprs))
+
+
+@lru_cache(maxsize=1024)
+def _compiled(args, exprs):
+    fn = sp.lambdify(args, list(exprs), modules="numpy", cse=True)
+
+    def evaluate(*values):
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        out = np.empty(shape + (len(exprs),))
+        for i, col in enumerate(fn(*values)):
+            out[..., i] = col
+        return out
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -79,11 +106,6 @@ class PerturbationField:
         subs = {RHO0: -1 / S, RHOI: -S / RR}
         return {k: self.expr(k).subs(subs) for k in _COMP_KEYS}
 
-    # spherical pieces with indices raised by the round metric
-    def spherical_matrix(self):
-        return sp.Matrix([[self.expr("22"), self.expr("23")],
-                          [self.expr("23"), self.expr("33")]])
-
 
 def perturbation(comps, weights=None, log11=None, label="h"):
     pf = PerturbationField(dict(comps), weights or Weights(), log11, label)
@@ -91,18 +113,54 @@ def perturbation(comps, weights=None, log11=None, label="h"):
     return pf
 
 
+def _column_tables():
+    """Column of the compiled array behind each slot of g, dg and d2g."""
+    n = len(_COMP_KEYS)
+    pair = np.empty((4, 4), dtype=np.intp)
+    for (mu, nu), key in _IDX.items():
+        pair[mu, nu] = pair[nu, mu] = _COMP_KEYS.index(key)
+    block = np.empty((4, 4), dtype=np.intp)
+    for b, (k, l) in enumerate((k, l) for k in range(4) for l in range(k, 4)):
+        block[k, l] = block[l, k] = b
+    first = n + n * np.arange(4)[:, None, None] + pair
+    second = 5 * n + n * block[:, :, None, None] + pair
+    return pair, first, second
+
+
+_G_COLS, _DG_COLS, _D2G_COLS = _column_tables()
+
+
 @dataclass
 class MetricEval:
-    """Metric data evaluated on a batch of points."""
+    """Metric data evaluated on a batch of points.
+
+    ``cols`` holds the compiled columns of the metric field: the ten
+    components, then their first and their second derivatives.  ``g``,
+    ``dg`` and ``d2g`` are gathered from it on first read, so a caller that
+    never reads ``d2g`` never builds it.
+    """
 
     q: np.ndarray
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     r: np.ndarray
-    g: np.ndarray        # (N, 4, 4)
-    dg: np.ndarray       # (N, 4, 4, 4)  index order (kappa, mu, nu)
-    d2g: np.ndarray      # (N, 4, 4, 4, 4)
+    cols: np.ndarray     # (N, 150)
+
+    @cached_property
+    def g(self):
+        """(N, 4, 4)"""
+        return self.cols[..., _G_COLS]
+
+    @cached_property
+    def dg(self):
+        """(N, 4, 4, 4), index order (kappa, mu, nu)"""
+        return self.cols[..., _DG_COLS]
+
+    @cached_property
+    def d2g(self):
+        """(N, 4, 4, 4, 4), index order (kappa, lambda, mu, nu)"""
+        return self.cols[..., _D2G_COLS]
 
     @property
     def ginv(self):
@@ -116,10 +174,6 @@ class MetricField:
         self.m = _mass(m)
         self.h = h
         self._build()
-
-    @staticmethod
-    def schwarzschild(m) -> "MetricField":
-        return MetricField(m, None)
 
     def _component_exprs(self):
         m = self.m
@@ -155,7 +209,7 @@ class MetricField:
         exprs = [g[k] for k in _COMP_KEYS]
         exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
         exprs += [second[(k, l, key)] for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
-        self._fn = sp.lambdify((RR, Q, S, TH, PH), exprs, modules="numpy", cse=True)
+        self._fn = compile_fields((RR, Q, S, TH, PH), exprs)
 
     def radius(self, q, s):
         rstar = 0.5 * (np.asarray(q, dtype=float) - np.asarray(s, dtype=float))
@@ -166,27 +220,7 @@ class MetricField:
             *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (q, s, theta, phi))
         )
         r = np.atleast_1d(self.radius(q, s))
-        vals = self._fn(r, q, s, theta, phi)
-        vals = [np.broadcast_to(np.asarray(v, dtype=float), q.shape) for v in vals]
-        n = q.shape
-        g = np.zeros(n + (4, 4))
-        dg = np.zeros(n + (4, 4, 4))
-        d2g = np.zeros(n + (4, 4, 4, 4))
-        idx_pairs = list(_IDX.keys())
-        for i, (mu, nu) in enumerate(idx_pairs):
-            g[..., mu, nu] = g[..., nu, mu] = vals[i]
-        pos = len(idx_pairs)
-        for k in range(4):
-            for i, (mu, nu) in enumerate(idx_pairs):
-                dg[..., k, mu, nu] = dg[..., k, nu, mu] = vals[pos]
-                pos += 1
-        for k in range(4):
-            for l in range(k, 4):
-                for i, (mu, nu) in enumerate(idx_pairs):
-                    d2g[..., k, l, mu, nu] = d2g[..., k, l, nu, mu] = vals[pos]
-                    d2g[..., l, k, mu, nu] = d2g[..., l, k, nu, mu] = vals[pos]
-                    pos += 1
-        return MetricEval(q, s, theta, phi, r, g, dg, d2g)
+        return MetricEval(q, s, theta, phi, r, self._fn(r, q, s, theta, phi))
 
 
 # -- exact closed forms for the unperturbed metric --------------------------

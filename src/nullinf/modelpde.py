@@ -435,8 +435,8 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     """
     import sympy as sp
 
-    from .compactify import _mass
-    from .metrics import PH, Q, RR, S, TH, ROUND_INV, MetricField, _diff_ops
+    from .compactify import _mass, inverse_tortoise
+    from .metrics import PH, Q, RR, S, TH, ROUND_INV, _diff_ops, compile_fields
 
     m = _mass(m)
     D = _diff_ops(m)
@@ -464,16 +464,12 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     B[4][0] = 2 * d1(d1(hq["12"]))
     B[6][0] = 2 * d1(d1(hq["22"]))
 
-    metric = MetricField(m)
-
     def compile_matrix(M):
-        flat = [M[i][j] for i in range(7) for j in range(7)]
-        fn = sp.lambdify((RR, Q, S, TH, PH), flat, modules="numpy", cse=True)
+        fn = compile_fields((RR, Q, S, TH, PH), [M[i][j] for i in range(7) for j in range(7)])
 
         def evaluate(q, s, theta, phi):
-            r = metric.radius(q, s)
-            vals = fn(r, q, s, theta, phi)
-            return np.array(vals, dtype=float).reshape(7, 7)
+            r = inverse_tortoise(0.5 * (q - s), m)
+            return fn(r, q, s, theta, phi).reshape(7, 7)
 
         return evaluate
 

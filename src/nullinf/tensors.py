@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .compactify import _mass
-from .metrics import PH, Q, RR, S, TH, ROUND_INV, MetricEval, MetricField, PerturbationField, _diff_ops
+from .compactify import _mass, inverse_tortoise
+from .metrics import (PH, Q, RR, S, TH, ROUND_INV, MetricEval, MetricField, PerturbationField,
+                      _diff_ops, compile_fields)
 
 
 # -- connection and curvature ----------------------------------------------
@@ -100,15 +101,12 @@ class OneFormField:
         self.exprs = tuple(sp.sympify(e) for e in exprs)
         D = _diff_ops(_mass(m))
         flat = list(self.exprs) + [D[k](e) for k in range(4) for e in self.exprs]
-        self._fn = sp.lambdify((RR, Q, S, TH, PH), flat, modules="numpy", cse=True)
+        self._fn = compile_fields((RR, Q, S, TH, PH), flat)
 
     def eval(self, ev: MetricEval):
         vals = self._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
-        vals = [np.broadcast_to(np.asarray(v, dtype=float), ev.q.shape) for v in vals]
-        omega = np.stack(vals[:4], axis=-1)
-        domega = np.stack(
-            [np.stack(vals[4 + 4 * k : 8 + 4 * k], axis=-1) for k in range(4)], axis=-2
-        )  # (..., kappa, mu) = d_kappa omega_mu
+        omega = vals[..., :4]
+        domega = vals[..., 4:].reshape(vals.shape[:-1] + (4, 4))  # (..., kappa, mu) = d_kappa omega_mu
         return omega, domega
 
 
@@ -143,14 +141,6 @@ def modified_gradient_correction(gamma1, gamma2, ev: MetricEval, omega_vals: np.
     return -2.0 * gamma1 * sym + gamma2 * iota[..., None, None] * ev.g
 
 
-def modified_gradient(gamma1, gamma2, bg: MetricField, omega: OneFormField, q, s, theta, phi):
-    ev = bg.at(q, s, theta, phi)
-    w, _ = omega.eval(ev)
-    return symmetric_gradient(bg, omega, q, s, theta, phi) + modified_gradient_correction(
-        gamma1, gamma2, ev, w
-    )
-
-
 # -- K-currents --------------------------------------------------------------
 
 
@@ -173,17 +163,6 @@ def ds_static_chart() -> BFrameChart:
     g[2, 2] = -(Rr**2)
     g[3, 3] = -(Rr**2) * sp.sin(th) ** 2
     return BFrameChart((rp, Rr, th, ph), g, "ds-static")
-
-
-def corner_chart() -> BFrameChart:
-    """Flat b-metric near the past corner in (rho0, rhoI, theta, phi)."""
-    r0, rI, th, ph = sp.symbols("rho0 rhoI theta phi", positive=True)
-    g = sp.zeros(4, 4)
-    g[0, 0] = (-2 * rI + rI**2) / r0**2
-    g[0, 1] = g[1, 0] = -1 / r0
-    g[2, 2] = -1
-    g[3, 3] = -sp.sin(th) ** 2
-    return BFrameChart((r0, rI, th, ph), g, "corner-flat")
 
 
 @dataclass(frozen=True)
@@ -226,14 +205,12 @@ def k_current(spec: CurrentSpec):
     div = sum(sp.diff(sqrt_det * W[mu], coords[mu]) for mu in range(4)) / sqrt_det
     K = -(_lie_inverse(coords, W, G) + div * G) / 2
     flat = [K[i, j] for i in range(4) for j in range(4)] + [div]
-    fn = sp.lambdify(tuple(coords) + tuple(spec.params), flat, modules="numpy", cse=True)
+    fn = compile_fields(tuple(coords) + tuple(spec.params), flat)
 
     def evaluate(x0, x1, x2, x3, *param_values):
         arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, x1, x2, x3)))
         vals = fn(*arrs, *param_values)
-        vals = [np.broadcast_to(np.asarray(v, dtype=float), arrs[0].shape) for v in vals]
-        Kv = np.stack(vals[:16], axis=-1).reshape(arrs[0].shape + (4, 4))
-        return Kv, vals[16]
+        return vals[..., :16].reshape(vals.shape[:-1] + (4, 4)), vals[..., 16]
 
     return evaluate
 
@@ -307,15 +284,13 @@ def product_rule_residual(chart: BFrameChart, V, f, points, params=(), param_val
     k_v = k_current(CurrentSpec(chart, tuple(V), params=tuple(params)))
     T = energy_momentum(chart, gradient_vector(chart, f), V)
     flat = [T[i, j] for i in range(4) for j in range(4)] + [f]
-    fn = sp.lambdify(tuple(chart.coords) + tuple(params), flat, modules="numpy", cse=True)
+    fn = compile_fields(tuple(chart.coords) + tuple(params), flat)
 
     K1, _ = k_fv(*points, *param_values)
     K2, _ = k_v(*points, *param_values)
     vals = fn(*(np.atleast_1d(np.asarray(p, dtype=float)) for p in points), *param_values)
-    shape = np.broadcast(*(np.atleast_1d(p) for p in points)).shape
-    vals = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals]
-    Tv = np.stack(vals[:16], axis=-1).reshape(shape + (4, 4))
-    fv = vals[16]
+    Tv = vals[..., :16].reshape(vals.shape[:-1] + (4, 4))
+    fv = vals[..., 16]
     resid = K1 - Tv - fv[..., None, None] * K2
     return float(np.max(np.abs(resid)))
 
@@ -404,18 +379,16 @@ class GaugedResidual11:
         raised = ROUND_INV * d1h * ROUND_INV
         quad = sum(raised[i, j] * d1h[i, j] for i in range(2) for j in range(2))
         t2 = -sp.Rational(1, 4) * RR * quad
-        self._fn = sp.lambdify((RR, Q, S, TH, PH), [t1, t2], modules="numpy", cse=True)
+        self._fn = compile_fields((RR, Q, S, TH, PH), [t1, t2])
         self.m = m
 
-    def eval(self, q, s, theta, phi, metric: MetricField | None = None):
-        mf = metric or MetricField(self.m)
+    def eval(self, q, s, theta, phi):
         q, s, theta, phi = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))
         )
-        r = mf.radius(q, s)
-        t1, t2 = self._fn(r, q, s, theta, phi)
-        t1 = np.broadcast_to(np.asarray(t1, dtype=float), q.shape)
-        t2 = np.broadcast_to(np.asarray(t2, dtype=float), q.shape)
+        r = inverse_tortoise(0.5 * (q - s), self.m)
+        t = self._fn(r, q, s, theta, phi)
+        t1, t2 = t[..., 0], t[..., 1]
         return t1 + t2, t1, t2
 
 

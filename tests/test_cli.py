@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from nullinf import cli
 
 
@@ -42,6 +44,27 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 def test_unreadable_config_exits_2(tmp_path):
     code = cli.run("geodesics", tmp_path / "nope.cfg", tmp_path / "out")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [
+        ("geodesics", "mass = abc\n"),
+        ("geodesics", "mass = nan\n"),
+        ("geodesics", "mass = -inf\n"),
+        ("geodesics", "mass = 0.1\ns0 = twenty\n"),
+        ("model-pde", "points_per_decade = 16.5\n"),
+        ("bondi", "mass = 0.1\nu_samples = many\n"),
+        ("index-sets", "truncation = 1/0\n"),
+        ("verify-appendix", "mass = 0.1\nslack = NaN\n"),
+        ("all", "mass = 0.1\nbondi.budget_tol = 1e400\n"),
+    ],
+)
+def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):
+    cfg = write_config(tmp_path, text)
+    assert cli.run(subcommand, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_index_sets_subcommand(tmp_path, capsys):
@@ -105,7 +128,7 @@ def test_all_is_union_of_subcommands(tmp_path):
         "bondi.u_samples = 201\nbondi.quad_theta = 8\nbondi.quad_phi = 12\n",
     )
     out_all = tmp_path / "all"
-    assert cli.run("all", cfg, out_all, jobs=2) == 0
+    assert cli.run("all", cfg, out_all) == 0
     for name in ("index-sets", "model-pde", "geodesics", "bondi", "verify-appendix"):
         report = out_all / f"report_{name}.csv"
         assert report.exists()

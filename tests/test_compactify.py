@@ -19,6 +19,9 @@ def test_tortoise_domain_error():
         cp.tortoise(1.9, 1.0)
     with pytest.raises(ValueError):
         cp.tortoise(-1.0, -2.0)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cp.tortoise(10.0, m)
 
 
 def _bisect_tortoise(rstar, m, lo, hi, tol=1e-12):

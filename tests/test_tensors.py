@@ -1,17 +1,24 @@
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import nullinf
+from nullinf import metrics
 from nullinf import tensors as tn
+from nullinf.bondi import news_compatible_field
 from nullinf.compactify import tortoise
 from nullinf.metrics import (
+    _IDX,
     RHO0,
     RHOI,
     RR,
     TH,
     MetricField,
+    compile_fields,
     manufactured_suite,
     perturbation,
     schwarzschild_exact,
@@ -373,3 +380,71 @@ def test_christoffel_sqrt_perturbation_line():
     h = perturbation({"11": sp.sqrt(RHOI)})
     res = excess_decay_slopes(h, 0.25, line_ids=["Gamma^0_01"])
     assert res[0].passed
+
+
+# -- compiled fields and the gathered metric evaluator ----------------------------
+
+
+def scatter_assembly(vals, n):
+    """Reference: the per-slot scatter that assembled g, dg and d2g from columns."""
+    g = np.zeros(n + (4, 4))
+    dg = np.zeros(n + (4, 4, 4))
+    d2g = np.zeros(n + (4, 4, 4, 4))
+    idx_pairs = list(_IDX.keys())
+    for i, (mu, nu) in enumerate(idx_pairs):
+        g[..., mu, nu] = g[..., nu, mu] = vals[i]
+    pos = len(idx_pairs)
+    for k in range(4):
+        for i, (mu, nu) in enumerate(idx_pairs):
+            dg[..., k, mu, nu] = dg[..., k, nu, mu] = vals[pos]
+            pos += 1
+    for k in range(4):
+        for l in range(k, 4):
+            for i, (mu, nu) in enumerate(idx_pairs):
+                d2g[..., k, l, mu, nu] = d2g[..., k, l, nu, mu] = vals[pos]
+                d2g[..., l, k, mu, nu] = d2g[..., l, k, nu, mu] = vals[pos]
+                pos += 1
+    return g, dg, d2g
+
+
+@pytest.mark.parametrize("label", ["background", "manufactured", "news-compatible"])
+def test_gathered_metric_matches_scatter_assembly(label):
+    m = 0.1
+    if label == "background":
+        h = None
+    elif label == "manufactured":
+        h = manufactured_suite()[5]
+    else:
+        h, _ = news_compatible_field(0.1, 1 / (1 + 5 * RHO0))
+    mf = MetricField(m, h)
+    q, s, th, ph = random_points(np.random.default_rng(5), 30, m)
+    ev = mf.at(q, s, th, ph)
+    tn.christoffel(ev)
+    assert "d2g" not in vars(ev)  # never built unless read
+    cols = mf._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
+    g, dg, d2g = scatter_assembly([cols[..., i] for i in range(cols.shape[-1])], ev.q.shape)
+    assert np.array_equal(ev.g, g)
+    assert np.array_equal(ev.dg, dg)
+    assert np.array_equal(ev.d2g, d2g)
+
+
+def test_compile_fields_shape_constants_and_memo():
+    x, y = sp.symbols("x y")
+    exprs = [x * sp.exp(y) + sp.sin(x) ** 2, sp.Integer(0), sp.Rational(3, 2), sp.cos(y)]
+    xs = np.linspace(0.1, 2.0, 7)
+    out = compile_fields((x, y), exprs)(xs, 0.4)
+    assert out.shape == (7, 4)
+    assert np.all(out[:, 1] == 0.0) and np.all(out[:, 2] == 1.5)
+    direct = sp.lambdify((x, y), exprs, modules="numpy", cse=True)(xs, 0.4)
+    for i, col in enumerate(direct):
+        assert np.array_equal(out[:, i], np.broadcast_to(col, xs.shape))
+    rebuilt = [x * sp.exp(y) + sp.sin(x) ** 2, 0, sp.Rational(3, 2), sp.cos(y)]
+    assert compile_fields([x, y], rebuilt) is compile_fields((x, y), exprs)
+
+
+def test_lambdify_called_only_inside_compile_fields():
+    package = Path(nullinf.__file__).parent
+    calls = sum(p.read_text().count("lambdify(") for p in package.glob("*.py"))
+    assert calls == 1
+    assert "lambdify(" in inspect.getsource(metrics._compiled)
+    assert "_compiled(" in inspect.getsource(metrics.compile_fields)
