@@ -63,7 +63,6 @@ from .modelpde import (  # noqa: F401
     solve_damped_mode,
     solve_wave_mode,
     solve_weak_null_system,
-    transport_phg,
 )
 from .geodesics import GeodesicTrajectory, integrate_radial_null_geodesic, retarded_time  # noqa: F401
 from .bondi import (  # noqa: F401

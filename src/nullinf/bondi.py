@@ -10,7 +10,7 @@ field equations, with radiated flux entering at the calibrated coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -38,23 +38,24 @@ def sphere_quadrature(n_theta=24, n_phi=48):
 
 _STENCIL = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 _CENTER = 4
+#: angular step of the stencil
+_DELTA = 5e-3
 
 
 class Congruence:
     """Batched radial null geodesics toward one cut of the radiation face."""
 
-    def __init__(self, metric: MetricField, u, theta, phi, s0=15.0, delta=5e-3, **kw):
+    def __init__(self, metric: MetricField, u, theta, phi, s0=15.0, tail_decades=7.0):
         self.metric = metric
         self.u = float(u)
         self.theta = np.asarray(theta, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
-        self.delta = float(delta)
         n = len(self.theta)
         angles = np.empty((n * 9, 2))
         for o, (a, b) in enumerate(_STENCIL):
-            angles[o::9, 0] = self.theta + a * delta
-            angles[o::9, 1] = self.phi + b * delta
-        self.traj = integrate_radial_null_geodesic(metric, u, angles, s0=s0, **kw)
+            angles[o::9, 0] = self.theta + a * _DELTA
+            angles[o::9, 1] = self.phi + b * _DELTA
+        self.traj = integrate_radial_null_geodesic(metric, u, angles, s0=s0, tail_decades=tail_decades)
         self.n = n
 
     def _radius_along(self):
@@ -94,7 +95,7 @@ class Congruence:
         """Points, velocities, tangents and curvature data of one sphere."""
         s_star = self.affine_at_radius(r_coord)
         n = self.n
-        d = self.delta
+        d = _DELTA
         x_all, v_all = self.traj.interpolate_per_member(s_star)
         P = x_all.reshape(n, 9, 4)
         V = v_all.reshape(n, 9, 4)
@@ -122,20 +123,18 @@ class Congruence:
                     "nkmu,nm,nu->nk", gam, T[:, a, :], T[:, b, :]
                 )
 
-        return SphereCut(self, float(r_coord), s_star[_CENTER::9], Pc, L, T, cov, g, ev)
+        return SphereCut(self, s_star[_CENTER::9], Pc, L, T, cov, g)
 
 
 @dataclass
 class SphereCut:
     congruence: "Congruence"
-    r_coord: float
     s_star: np.ndarray
     points: np.ndarray     # (n, 4)
     L: np.ndarray          # (n, 4) outgoing null generator (velocity normalization)
     T: np.ndarray          # (n, 2, 4) sphere tangents
     cov: np.ndarray        # (n, 2, 2, 4) nabla_{T_a} T_b
     g: np.ndarray          # (n, 4, 4)
-    ev: object
 
     def induced_metric(self):
         return np.einsum("nmk,nam,nbk->nab", self.g, self.T, self.T)
@@ -186,7 +185,7 @@ def area_radius(cut: SphereCut):
     """
     con = cut.congruence
     n = cut.points.shape[0]
-    d = con.delta
+    d = _DELTA
     # embedding-derivative columns at the center affine parameter
     s_members = np.repeat(cut.s_star, 9)
     xc, _ = con.traj.interpolate_per_member(s_members)
@@ -231,13 +230,11 @@ def area_radius(cut: SphereCut):
     return rout
 
 
-def hawking_mass(metric: MetricField, u, r_coord, quad=(24, 48), s0=None, **kw):
+def hawking_mass(metric: MetricField, u, r_coord, quad=(24, 48)):
     """Hawking mass of the constant-radius cut of the outgoing cone."""
     th, ph, w = sphere_quadrature(*quad)
-    if s0 is None:
-        s0 = max(2.5, 0.3 * (2.0 * r_coord + u))
-    kw.setdefault("tail_decades", 7.5)
-    con = Congruence(metric, u, th, ph, s0=s0, **kw)
+    s0 = max(2.5, 0.3 * (2.0 * r_coord + u))
+    con = Congruence(metric, u, th, ph, s0=s0, tail_decades=7.5)
     return hawking_mass_of_cut(con.cut(r_coord), w)
 
 
@@ -315,8 +312,7 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_lo
         "13": h1b[1],
         "11": h11,
     }
-    return perturbation(comps, w, log11=log_coeff if with_log else None,
-                        label="news-compatible"), log_coeff
+    return perturbation(comps, w, label="news-compatible"), log_coeff
 
 
 @dataclass
@@ -382,7 +378,6 @@ class BondiReport:
     mass_aspect: np.ndarray       # (n_u, n_nodes)
     theta: np.ndarray
     phi: np.ndarray
-    hawking_samples: list = field(default_factory=list)
 
 
 def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiReport:

@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,21 +141,55 @@ SCHEMAS = {
 }
 
 
-#: how the runners read each key that is not a float
-KEY_TYPES = {"truncation": Fraction, "ell": int, "points_per_decade": int, "u_samples": int,
-             "quad_theta": int, "quad_phi": int}
+class Key(NamedTuple):
+    """How a runner reads a config value, and the lowest value it accepts."""
+
+    read: type = float
+    low: float | None = None
+    strict: bool = False    # the bound itself lies outside the window
+
+    def window(self):
+        return "" if self.low is None else f"{'>' if self.strict else '>='} {self.low:g}"
 
 
-def _check_number(subcommand, key, text):
-    """Reject a value its runner could not read as a finite number."""
-    kind = KEY_TYPES.get(key, float)
+#: reader and window of each key; a key not listed is a float with no bound
+KEYS = {
+    "truncation": Key(Fraction, 0, strict=True),
+    "mass": Key(low=0.0),
+    "gamma": Key(low=0.0),
+    "ell": Key(int, 0),
+    "eps": Key(low=0.0, strict=True),
+    "rho_min": Key(low=1e-8),
+    "points_per_decade": Key(int, 16),
+    "forcing_center": Key(low=0.0, strict=True),
+    "exponent_rel_tol": Key(low=0.0),
+    "s0": Key(low=0.0, strict=True),
+    "null_norm_tol": Key(low=0.0),
+    "component_drift_tol": Key(low=0.0),
+    "news_width": Key(low=0.0, strict=True),
+    "u_samples": Key(int, 2),
+    "quad_theta": Key(int, 1),
+    "quad_phi": Key(int, 1),
+    "budget_tol": Key(low=0.0),
+    "rho0": Key(low=0.0, strict=True),
+    "window_low": Key(low=0.0, strict=True),
+    "window_high": Key(low=0.0, strict=True),
+    "slack": Key(low=0.0),
+}
+
+
+def _check_value(subcommand, key, text):
+    """Reject a value its runner could not read as a finite number, or one outside its window."""
+    rule = KEYS.get(key, Key())
     try:
-        value = kind(text)
+        value = rule.read(text)
     except (ValueError, ZeroDivisionError):
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if rule.read is int else "a number"
         raise ConfigError(f"{subcommand}: {key} = {text!r} is not {what}") from None
-    if kind is float and not math.isfinite(value):
+    if rule.read is float and not math.isfinite(value):
         raise ConfigError(f"{subcommand}: {key} = {text!r} is not finite")
+    if rule.low is not None and (value <= rule.low if rule.strict else value < rule.low):
+        raise ConfigError(f"{subcommand}: {key} = {text!r} is outside the window {key} {rule.window()}")
 
 
 def resolve_options(subcommand, raw: dict) -> dict:
@@ -166,7 +201,7 @@ def resolve_options(subcommand, raw: dict) -> dict:
     for key, default in schema.items():
         if key in raw:
             out[key] = raw[key]
-            _check_number(subcommand, key, raw[key])
+            _check_value(subcommand, key, raw[key])
         elif default is None:
             raise ConfigError(f"missing required config key for {subcommand}: {key}")
         else:
@@ -434,10 +469,15 @@ def _slice_config(raw: dict, name: str) -> dict:
     return out
 
 
+def _describe(key, required):
+    notes = [n for n in ("required" if required else "", KEYS.get(key, Key()).window()) if n]
+    return f"{key} ({', '.join(notes)})" if notes else key
+
+
 def list_checks():
     lines = []
     for name, schema in SCHEMAS.items():
-        keys = ", ".join(f"{k}{'' if v is not None else ' (required)'}" for k, v in schema.items())
+        keys = ", ".join(_describe(k, v is None) for k, v in schema.items())
         lines.append(f"{name}: config keys: {keys}")
     return "\n".join(lines)
 

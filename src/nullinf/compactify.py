@@ -59,12 +59,14 @@ def tortoise(r, m):
     return float(out) if out.ndim == 0 else out
 
 
-def inverse_tortoise(rstar, m, tol=1e-13, maxiter=100):
+def inverse_tortoise(rstar, m):
     """Radius with the given tortoise coordinate, by bracketed Newton.
 
-    Converges on the monotone branch r > max(2m, 0); raises if the iteration
-    cap is hit before |tortoise(r) - rstar| < tol * (1 + |rstar|).
+    Converges on the monotone branch r > max(2m, 0); raises if 100 steps
+    do not bring |tortoise(r) - rstar| below 1e-13 * (1 + |rstar|).
     """
+    tol = 1e-13
+    maxiter = 100
     m = _mass(m)
     rstar_arr = np.atleast_1d(np.asarray(rstar, dtype=float))
     lo_edge = max(2.0 * m, 0.0)
@@ -80,8 +82,9 @@ def inverse_tortoise(rstar, m, tol=1e-13, maxiter=100):
     else:
         raise ValueError("could not bracket the tortoise inversion")
     if np.any(tortoise(lo, m) > rstar_arr):
-        # shrink the lower edge toward the horizon where r_* -> -inf (m > 0)
-        if m <= 0.0:
+        # shrink the lower edge toward the horizon where r_* -> -inf (m > 0),
+        # or toward r = 0 where r_* = r (m = 0)
+        if m < 0.0 or (m == 0.0 and np.any(rstar_arr <= 0.0)):
             raise ValueError("tortoise coordinate out of range for m <= 0")
         for _ in range(2000):
             bad = tortoise(lo, m) > rstar_arr
@@ -232,14 +235,16 @@ def null_frame_coefficients(bt: BoundaryTriple, m) -> np.ndarray:
 # -- rescaled time profile -------------------------------------------------
 
 
-def scaled_time_fixed_point(v, m, rho_grid, order=2, tol=1e-13, maxiter=200, initial=None):
+def scaled_time_fixed_point(v, m, rho_grid, initial=None):
     """Fixed point f = rho * t of the gluing recursion, on a grid in rho.
 
     Returns the sampled profile, its truncated expansion in (rho, log rho),
     and the index set certified for the expansion.  The recursion is a
     contraction for small ``rho |log rho|``; the iteration aborts if the
-    sup-norm change ever grows.
+    sup-norm change ever grows.  The expansion is truncated at order 2.
     """
+    tol = 1e-13
+    maxiter = 200
     m = _mass(m)
     v = float(v)
     rho = np.asarray(rho_grid, dtype=float)
@@ -265,9 +270,6 @@ def scaled_time_fixed_point(v, m, rho_grid, order=2, tol=1e-13, maxiter=200, ini
 
     chi = float(cutoff_lower(1.0 + v))
     terms = [(Fraction(0), 0, 1.0 + v), (Fraction(1), 1, -2.0 * m * chi)]
-    if order > 2:
-        # next exact correction: +2 m chi rho log(1 - 2 m rho) contributes at power 2
-        terms.append((Fraction(2), 0, -4.0 * m * m * chi))
-    expansion = PolyhomExpansion.make(terms, Fraction(order))
-    certified = elog(order)
+    expansion = PolyhomExpansion.make(terms, Fraction(2))
+    certified = elog(2)
     return f, expansion, certified

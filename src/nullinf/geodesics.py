@@ -55,7 +55,6 @@ class GeodesicTrajectory:
     s: np.ndarray            # (n_s,) affine grid, ascending
     x: np.ndarray            # (..., n_s, 4)
     v: np.ndarray            # (..., n_s, 4)
-    target_x1: float
     target_angles: np.ndarray
     iterations: int
     diffs: list
@@ -116,7 +115,8 @@ class GeodesicTrajectory:
         return out
 
 
-def _master_grid(s0, nodes_per_decade=32, tail_decades=7.0):
+def _master_grid(s0, tail_decades):
+    nodes_per_decade = 32
     n = int(round(nodes_per_decade * tail_decades))
     if n % 2 == 1:
         n += 1
@@ -128,31 +128,31 @@ def _master_grid(s0, nodes_per_decade=32, tail_decades=7.0):
 
 def integrate_radial_null_geodesic(
     metric: MetricField,
-    target_x1,
+    x1bar,
     target_angles,
     s0=20.0,
-    nodes_per_decade=32,
     tail_decades=7.0,
-    tol=5e-14,
-    plateau_tol=3e-8,
-    max_iter=40,
     affine_scale=1.0,
-    tail_warn=1e-8,
 ):
     """Batched Picard construction of radial null geodesics.
 
-    ``target_angles`` has shape (..., 2); the returned arrays have one
-    leading axis per target.  The affine parameter runs over a fixed
-    logarithmic master grid from ``s0`` through ``tail_decades`` decades;
-    contributions from beyond the grid enter through an extrapolated end
-    panel whose size is reported as ``tail_bound``.
+    The geodesics end at retarded time ``x1bar``; ``target_angles`` has
+    shape (..., 2), and the returned arrays have one leading axis per
+    target.  The affine parameter runs over a fixed logarithmic master grid
+    from ``s0`` through ``tail_decades`` decades; contributions from beyond
+    the grid enter through an extrapolated end panel whose size is reported
+    as ``tail_bound``.
     """
+    max_iter = 40
     lam = float(affine_scale)
+    # sweeps stop once the change is below tol; below flo it may be evaluation noise
+    tol = 5e-14 * (1.0 + 1.0 / lam)
+    flo = 3e-8 * (1.0 + 1.0 / lam)
     m = metric.m
     angles = np.atleast_2d(np.asarray(target_angles, dtype=float))
     ntar = angles.shape[0]
 
-    sigma, h = _master_grid(s0, nodes_per_decade, tail_decades)
+    sigma, h = _master_grid(s0, tail_decades)
     s = lam / sigma[::-1]  # ascending affine values, s[0] = lam * s0
     ns = len(s)
 
@@ -185,7 +185,7 @@ def integrate_radial_null_geodesic(
         x[..., 0] = s / lam + 4.0 * m * np.log(s / lam) - T0
         for i in (1, 2, 3):
             Ti, _ = tail_integrals(v[..., i])
-            base = target_x1 if i == 1 else angles[:, i - 2][:, None]
+            base = x1bar if i == 1 else angles[:, i - 2][:, None]
             x[..., i] = base - Ti
 
         gam = _christoffel_at(metric, x).reshape((ntar, ns, 4, 4, 4))
@@ -198,26 +198,25 @@ def integrate_radial_null_geodesic(
         change = float(np.max(np.abs(v_new - v)))
         diffs.append(change)
         v = v_new
-        if change < tol * (1.0 + 1.0 / lam):
+        if change < tol:
             break
         # evaluation noise floor: successive changes stop contracting while
         # already far below any resolvable scale
-        if len(diffs) >= 4 and change < plateau_tol * (1.0 + 1.0 / lam) and change > 0.5 * diffs[-2]:
+        if len(diffs) >= 4 and change < flo and change > 0.5 * diffs[-2]:
             break
     else:
         raise RuntimeError("Picard iteration did not converge within the cap")
 
-    flo = plateau_tol * (1.0 + 1.0 / lam)
     if len(diffs) >= 4 and not all(
         diffs[i + 1] <= max(diffs[i] * (1.0 + 1e-9), flo) for i in range(1, len(diffs) - 2)
     ):
         raise RuntimeError("Picard iteration is not contracting")
 
     tail_bound = max(tail_bound, 0.0)
-    if tail_bound > tail_warn:
+    if tail_bound > 1e-8:
         import warnings
 
-        warnings.warn(f"tail truncation bound {tail_bound:.2e} exceeds {tail_warn:.0e}")
+        warnings.warn(f"tail truncation bound {tail_bound:.2e} exceeds 1e-08")
 
     gam = _christoffel_at(metric, x).reshape((ntar, ns, 4, 4, 4))
     acc = -np.einsum("...kmn,...m,...n->...k", gam, v, v)
@@ -225,21 +224,19 @@ def integrate_radial_null_geodesic(
     squeeze = np.ndim(target_angles) == 1
     if squeeze:
         x, v, acc = x[0], v[0], acc[0]
-    return GeodesicTrajectory(
-        s, x, v, float(target_x1), angles, it, diffs, tail_bound, lam, acc
-    )
+    return GeodesicTrajectory(s, x, v, angles, it, diffs, tail_bound, lam, acc)
 
 
-def retarded_time(metric: MetricField, point, s0=20.0, tol=1e-11, max_iter=30, **kw):
+def retarded_time(metric: MetricField, point, s0=20.0):
     """Retarded time of a spacetime point: the label of the unique
     asymptotically radial null geodesic through it, found by shooting."""
+    tol = 1e-11
+    max_iter = 30
     q0, s_coord, theta, phi = (float(c) for c in point)
     x1bar = s_coord
     traj = None
     for _ in range(max_iter):
-        traj = integrate_radial_null_geodesic(
-            metric, x1bar, np.array([[theta, phi]]), s0=s0, **kw
-        )
+        traj = integrate_radial_null_geodesic(metric, x1bar, np.array([[theta, phi]]), s0=s0)
         xq = traj.x[0, :, 0]
         if not (xq[0] <= q0 <= xq[-1]):
             raise ValueError("point is outside the affine window of the shot geodesic")

@@ -21,27 +21,10 @@ from .metrics import (PH, Q, RR, S, TH, ROUND_INV, ROUND_METRIC, MetricField, Pe
 from . import tensors
 
 
-def _sphere_christoffel():
-    ghat = ROUND_METRIC
-    ginv = ROUND_INV
-    coords = (TH, PH)
-    sym = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    out = {}
-    for c in range(2):
-        for a in range(2):
-            for b in range(2):
-                e = 0
-                for d in range(2):
-                    e += ginv[c, d] * (
-                        sp.diff(ghat[d, a], coords[b])
-                        + sp.diff(ghat[d, b], coords[a])
-                        - sp.diff(ghat[a, b], coords[d])
-                    )
-                out[(c, a, b)] = sp.simplify(e / 2)
-    return out
-
-
-_GHAT_GAMMA = _sphere_christoffel()
+#: Christoffel symbols Gamma^c_ab of the round metric on (theta, phi), keyed (c, a, b)
+_GHAT_GAMMA = {(c, a, b): sp.S.Zero for c in range(2) for a in range(2) for b in range(2)}
+_GHAT_GAMMA[(0, 1, 1)] = -sp.sin(2 * TH) / 2
+_GHAT_GAMMA[(1, 0, 1)] = _GHAT_GAMMA[(1, 1, 0)] = 1 / sp.tan(TH)
 
 
 def _sphere_cov_vector(v):
@@ -200,7 +183,7 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
     return lines
 
 
-def _fit_decay(lx, ly, with_logs=False, kmax=3):
+def _fit_decay(lx, ly, with_logs=False):
     """Decay order of data on a log-log window.
 
     For classes that shed log factors, scans the model
@@ -208,6 +191,7 @@ def _fit_decay(lx, ly, with_logs=False, kmax=3):
     the power of the best-fitting model; on a pure power law this reduces
     to the plain slope.
     """
+    kmax = 3
     if not with_logs:
         return float(np.polyfit(lx, ly, 1)[0])
     best = (np.inf, float(np.polyfit(lx, ly, 1)[0]))
@@ -236,9 +220,6 @@ def excess_decay_slopes(
     m,
     rho0=0.1,
     window=(1e-4, 1e-2),
-    npts=9,
-    theta=1.1,
-    phi=0.7,
     slack=0.1,
     line_ids=None,
 ):
@@ -246,7 +227,10 @@ def excess_decay_slopes(
 
     A line passes when the fitted slope meets its remainder order minus the
     slack, or when the residual is already at the evaluation noise floor.
+    Each line is sampled at 9 points of ``window`` at the angles (1.1, 0.7).
     """
+    npts = 9
+    theta, phi = 1.1, 0.7
     m = _mass(m)
     lines = _leading_exprs(h, m, h.weights)
     if line_ids is not None:

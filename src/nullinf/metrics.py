@@ -87,14 +87,12 @@ class PerturbationField:
 
     Keys "00", "01", "0b", "11", "1b", "ab" follow the null/spherical
     splitting; spherical slots are sympy expressions per coordinate pair.
-    Missing components are zero.  ``log11`` optionally declares the
-    coefficient of log(rhoI) in the (1,1) slot, and ``weights`` declares the
-    decay class the field is built to satisfy.
+    Missing components are zero; ``weights`` declares the decay class the
+    field is built to satisfy.
     """
 
     comps: dict = field(default_factory=dict)
     weights: Weights = Weights()
-    log11: object = None
     label: str = "h"
 
     def expr(self, key):
@@ -107,8 +105,8 @@ class PerturbationField:
         return {k: self.expr(k).subs(subs) for k in _COMP_KEYS}
 
 
-def perturbation(comps, weights=None, log11=None, label="h"):
-    pf = PerturbationField(dict(comps), weights or Weights(), log11, label)
+def perturbation(comps, weights=None, label="h"):
+    pf = PerturbationField(dict(comps), weights or Weights(), label)
     # symmetry of the spherical part is implicit in the component keys
     return pf
 
@@ -349,7 +347,6 @@ def manufactured_suite(weights: Weights | None = None):
                 "00": a0 * aIp * ct,
             },
             w,
-            log11=a0,
             label="mixed-log",
         ),
     ]

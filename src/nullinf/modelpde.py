@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expansions
-
 
 @dataclass(frozen=True)
 class CharacteristicGrid:
@@ -248,14 +246,14 @@ def newton_iterate(
     data=(None, None, None),
     forcing=(None, None, None),
     steps=8,
-    reference_step=None,
 ):
     """Global linear-solve iteration for the weak-null system.
 
     Starts from zero and solves the linearized triangular system at each
     step (the quadratic couplings are frozen at the previous iterate, so a
-    step is three marches with modified sources).  Returns the iterates and
-    the quadratic-convergence ratios against the final iterate.
+    step is two marches with modified sources; the damped u0 mode is linear
+    and is solved once).  Returns the iterates and the quadratic-convergence
+    ratios against the final iterate.
     """
     data = [d or BoundaryData() for d in data]
     zero = ModeSolution(grid, 0.0, np.zeros((len(grid.rho0), len(grid.rhoI))),
@@ -263,20 +261,20 @@ def newton_iterate(
     iterates = []
     prev = (zero, zero, zero)
     sup_history = []
+
+    def linearized(base, prev_sol, new_sol):
+        a_prev = prev_sol.d1()
+        a_new = new_sol.d1()
+        rho0 = grid.rho0[:, None]
+        rhoI = grid.rhoI[None, :]
+        table = (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI)
+        extra = _grid_interp(grid, table)
+        if base is None:
+            return extra
+        return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
+
+    u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
     for k in range(steps):
-        u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
-
-        def linearized(base, prev_sol, new_sol):
-            a_prev = prev_sol.d1()
-            a_new = new_sol.d1()
-            rho0 = grid.rho0[:, None]
-            rhoI = grid.rhoI[None, :]
-            table = (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI)
-            extra = _grid_interp(grid, table)
-            if base is None:
-                return extra
-            return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
-
         u1c = solve_wave_mode(grid, linearized(forcing[1], prev[0], u0), data[1])
         u1 = solve_wave_mode(grid, linearized(forcing[2], prev[1], u1c), data[2])
         current = (u0, u1c, u1)
@@ -289,8 +287,7 @@ def newton_iterate(
             raise RuntimeError("iteration diverging: sup norm grew for 3 consecutive steps")
         prev = current
 
-    ref_idx = (reference_step if reference_step is not None else steps) - 1
-    ref = iterates[ref_idx]
+    ref = iterates[-1]
     errors = []
     for it in iterates:
         errors.append(
@@ -371,26 +368,6 @@ def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
         return LeadingFit(model, None, c0, e, float(amp), resid)
 
     raise ValueError(f"unknown fit model {model!r}")
-
-
-# -- exact expansion transport (re-exported interface) ------------------------
-
-
-def transport_phg(f, operator="rho_D_rho", truncation=None):
-    """Exact term-by-term transport of a finite expansion.
-
-    ``operator`` selects the radial model (``rho_D_rho``, acting on
-    single-variable expansions) or the corner model (``two_face``, acting on
-    separated bivariate expansions); returns the solution expansion and the
-    index set predicted by the transport bookkeeping.
-    """
-    if operator == "rho_D_rho":
-        return expansions.transport_rho(f)
-    if operator == "two_face":
-        if truncation is None:
-            raise ValueError("two_face transport needs a truncation for the index bookkeeping")
-        return expansions.transport_two_face(f, truncation)
-    raise ValueError(f"unknown transport operator {operator!r}")
 
 
 # -- model operator matrices ---------------------------------------------------

@@ -167,15 +167,10 @@ def ds_static_chart() -> BFrameChart:
 
 @dataclass(frozen=True)
 class CurrentSpec:
-    """Multiplier vector field on a chart, with its weight parameters."""
+    """Multiplier vector field on a chart; ``params`` are further symbols of ``W``."""
 
     chart: BFrameChart
     W: tuple
-    a0: float = 0.0
-    aI: float = 0.0
-    aI_prime: float = 0.0
-    a_plus: float = -1.5
-    c_V: float = 0.0
     params: tuple = ()
 
 
@@ -222,7 +217,7 @@ def temporal_multiplier(aI, c_V, a_plus=-1.5) -> CurrentSpec:
     rhoI = 1 - Rr**2
     w = rhoI ** (-2 * sp.nsimplify(aI)) * rp ** (-2 * sp.nsimplify(a_plus))
     W = (-(1 + Rr**2) * rp * w, -(1 - sp.nsimplify(c_V)) * rhoI * Rr * w, 0, 0)
-    return CurrentSpec(chart, W, aI=float(aI), a_plus=float(a_plus), c_V=float(c_V))
+    return CurrentSpec(chart, W)
 
 
 def dilation_field_dS() -> CurrentSpec:
@@ -320,7 +315,7 @@ def _richardson(op, h):
     return (16.0 * op(h / 2.0) - op(h)) / 15.0
 
 
-def desitter_conjugation_check(phi, t, x, step=None):
+def desitter_conjugation_check(phi, t, x):
     """|t^3 Box(phi/t) - (Box_dS - 2) phi| at (t, x), both sides by finite differences.
 
     Box here is the negative d'Alembertian; the left side differentiates the
@@ -330,8 +325,7 @@ def desitter_conjugation_check(phi, t, x, step=None):
     t = float(t)
     x = [float(xi) for xi in x]
     args = [t] + x
-    if step is None:
-        step = 0.02 * max(abs(t), 1.0)  # balances stencil truncation against roundoff
+    step = 0.02 * max(abs(t), 1.0)  # balances stencil truncation against roundoff
 
     def u(tt, x1, x2, x3):
         return phi(tt, x1, x2, x3) / tt
@@ -366,32 +360,25 @@ def indicial_roots_dS():
 # -- leading (1,1) residual of the gauged field equations ---------------------
 
 
-class GaugedResidual11:
-    """The two leading terms of the (1,1) component of the gauged equations."""
-
-    def __init__(self, h: PerturbationField, m):
-        m = _mass(m)
-        D = _diff_ops(m)
-        hq = h.qs_exprs(m)
-        t1 = -2 * RR**2 * D[1](D[0](hq["11"]))
-        hmat = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])
-        d1h = hmat.applyfunc(D[1])
-        raised = ROUND_INV * d1h * ROUND_INV
-        quad = sum(raised[i, j] * d1h[i, j] for i in range(2) for j in range(2))
-        t2 = -sp.Rational(1, 4) * RR * quad
-        self._fn = compile_fields((RR, Q, S, TH, PH), [t1, t2])
-        self.m = m
-
-    def eval(self, q, s, theta, phi):
-        q, s, theta, phi = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))
-        )
-        r = inverse_tortoise(0.5 * (q - s), self.m)
-        t = self._fn(r, q, s, theta, phi)
-        t1, t2 = t[..., 0], t[..., 1]
-        return t1 + t2, t1, t2
-
-
 def gauged_residual_11(h: PerturbationField, m, q, s, theta, phi):
-    total, t1, t2 = GaugedResidual11(h, m).eval(q, s, theta, phi)
-    return total, (t1, t2)
+    """The two leading terms of the (1,1) component of the gauged equations.
+
+    Returns their sum and the pair of terms, evaluated at the given points.
+    """
+    m = _mass(m)
+    D = _diff_ops(m)
+    hq = h.qs_exprs(m)
+    t1 = -2 * RR**2 * D[1](D[0](hq["11"]))
+    hmat = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])
+    d1h = hmat.applyfunc(D[1])
+    raised = ROUND_INV * d1h * ROUND_INV
+    quad = sum(raised[i, j] * d1h[i, j] for i in range(2) for j in range(2))
+    t2 = -sp.Rational(1, 4) * RR * quad
+    fn = compile_fields((RR, Q, S, TH, PH), [t1, t2])
+    q, s, theta, phi = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))
+    )
+    r = inverse_tortoise(0.5 * (q - s), m)
+    t = fn(r, q, s, theta, phi)
+    t1, t2 = t[..., 0], t[..., 1]
+    return t1 + t2, (t1, t2)

@@ -1,8 +1,12 @@
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from nullinf import cli
+
+REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli_all.sha256.json"
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -58,6 +62,17 @@ def test_unreadable_config_exits_2(tmp_path):
         ("index-sets", "truncation = 1/0\n"),
         ("verify-appendix", "mass = 0.1\nslack = NaN\n"),
         ("all", "mass = 0.1\nbondi.budget_tol = 1e400\n"),
+        ("geodesics", "mass = -5\n"),
+        ("geodesics", "mass = 0.1\ns0 = -3\n"),
+        ("model-pde", "points_per_decade = 8\n"),
+        ("model-pde", "rho_min = 0\n"),
+        ("model-pde", "gamma = -1\n"),
+        ("bondi", "mass = 0.1\nu_samples = 1\n"),
+        ("bondi", "mass = 0.1\nquad_theta = 0\n"),
+        ("bondi", "mass = 0.1\nnews_width = 0\n"),
+        ("index-sets", "truncation = -1\n"),
+        ("verify-appendix", "mass = 0.1\nwindow_low = 0\n"),
+        ("verify-appendix", "mass = 0.1\nrho0 = 0\n"),
     ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):
@@ -122,14 +137,14 @@ def test_main_entry(tmp_path):
 
 
 def test_all_is_union_of_subcommands(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "mass = 0.1\nmodel_pde.gamma = 0.25\nbondi.news_amplitude = 0.5\n"
-        "bondi.u_samples = 201\nbondi.quad_theta = 8\nbondi.quad_phi = 12\n",
-    )
+    # the README config, whose outputs are pinned by their SHA-256
+    cfg = write_config(tmp_path, "mass = 0.1\nmodel_pde.gamma = 0.25\nbondi.news_amplitude = 0.5\n")
     out_all = tmp_path / "all"
     assert cli.run("all", cfg, out_all) == 0
     for name in ("index-sets", "model-pde", "geodesics", "bondi", "verify-appendix"):
         report = out_all / f"report_{name}.csv"
         assert report.exists()
         assert all(line.endswith("pass") for line in report.read_text().splitlines()[1:])
+    want = json.loads(REFERENCE_HASHES.read_text())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_all.iterdir()}
+    assert len(want) == 25 and got == want

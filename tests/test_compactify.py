@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullinf import compactify as cp
@@ -22,6 +22,8 @@ def test_tortoise_domain_error():
     for m in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             cp.tortoise(10.0, m)
+    with pytest.raises(ValueError, match="out of range"):
+        cp.inverse_tortoise(0.0, 0.0)
 
 
 def _bisect_tortoise(rstar, m, lo, hi, tol=1e-12):
@@ -61,6 +63,24 @@ def test_inverse_tortoise_matches_asymptotic_form():
 def test_tortoise_round_trip(rstar, m):
     r = cp.inverse_tortoise(rstar, m)
     assert abs(cp.tortoise(r, m) - rstar) <= 1e-10 * (1.0 + abs(rstar))
+
+
+@st.composite
+def _mass_and_radius(draw):
+    m = draw(st.floats(min_value=0.0, max_value=1.0))
+    r = draw(st.floats(min_value=2.0 * m * (1.0 + 1e-9), max_value=1e8, exclude_min=True))
+    return m, r
+
+
+@given(_mass_and_radius())
+@example((0.0, 5e-324))
+@example((1.0, 2.0 * (1.0 + 1e-9)))
+@settings(max_examples=300, deadline=None)
+def test_inverse_tortoise_round_trip_from_horizon_to_far_field(mr):
+    m, r = mr
+    rstar = cp.tortoise(r, m)
+    back = cp.tortoise(cp.inverse_tortoise(rstar, m), m)
+    assert abs(back - rstar) < 1e-13 * (1.0 + abs(rstar))
 
 
 def test_chart_transition_values():
@@ -206,7 +226,7 @@ def test_scaled_time_expansion_and_index_set():
 
     m, v = 0.2, 0.5
     rho = np.geomspace(1e-6, 1e-3, 60)
-    f, exp, certified = cp.scaled_time_fixed_point(v, m, rho, order=2)
+    f, exp, certified = cp.scaled_time_fixed_point(v, m, rho)
     assert certified == elog(2)
     resid = np.abs(f - exp.evaluate(rho))
     slope = np.polyfit(np.log(rho), np.log(resid), 1)[0]

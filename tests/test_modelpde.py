@@ -1,12 +1,9 @@
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from nullinf import modelpde as mp
-from nullinf.expansions import PolyhomExpansion, ProductExpansion, differentiate_rho
-from nullinf.indexsets import IndexSet
 
 
 GRID = mp.CharacteristicGrid(eps=0.1, rho0_min=1e-5, rhoI_min=1e-5, points_per_decade=16)
@@ -229,6 +226,23 @@ def test_newton_quadratic_convergence_and_leading_stability():
     assert abs(fits[0][1] - fits[1][1]) < 1e-6
 
 
+def test_newton_solves_the_linear_u0_mode_once(monkeypatch):
+    calls = []
+    solve = mp.solve_damped_mode
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "solve_damped_mode", counted)
+    f0, f1 = toy_setup()
+    steps = 3
+    iterates, _, _ = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=steps)
+    assert len(calls) == 1 + 2 * steps
+    assert calls[0] == 0.5 and calls[1:] == [0.0] * (2 * steps)
+    assert all(it[0] is iterates[0][0] for it in iterates)
+
+
 # -- fits ------------------------------------------------------------------------------
 
 
@@ -252,18 +266,6 @@ def test_fit_power_contaminated():
     u = rhoI**0.3 * (1.0 + rhoI**0.2)
     fit = mp.fit_leading_terms(rhoI, u, "power")
     assert fit.exponent == pytest.approx(0.3, abs=0.02)
-
-
-# -- transport re-export ------------------------------------------------------------
-
-
-def test_transport_phg_interface():
-    f = PolyhomExpansion.make([(F(1, 2), 0, F(1))], F(4))
-    u, pred = mp.transport_phg(f, "rho_D_rho")
-    assert differentiate_rho(u) == f
-    g = ProductExpansion.make([(0, 0, 0, 0, F(1))])
-    u2, pred2 = mp.transport_phg(g, "two_face", truncation=F(4))
-    assert pred2 == IndexSet.make([(0, 1)], F(4))
 
 
 # -- model matrices -------------------------------------------------------------------

@@ -16,6 +16,9 @@ from nullinf.metrics import (
     RHO0,
     RHOI,
     RR,
+    PH,
+    ROUND_INV,
+    ROUND_METRIC,
     TH,
     MetricField,
     compile_fields,
@@ -336,7 +339,7 @@ def test_gauged_residual_log_field_against_chain_rule_oracle():
     from nullinf.compactify import BoundaryTriple, null_frame_coefficients
 
     fexp = 2 + sp.sin(1 / RHO0)
-    h = perturbation({"11": -fexp * sp.log(RHOI)}, log11=-fexp)
+    h = perturbation({"11": -fexp * sp.log(RHOI)})
     m = 0.15
     rho0, rhoI = 0.05, 1e-3
     s = -1.0 / rho0
@@ -380,6 +383,23 @@ def test_christoffel_sqrt_perturbation_line():
     h = perturbation({"11": sp.sqrt(RHOI)})
     res = excess_decay_slopes(h, 0.25, line_ids=["Gamma^0_01"])
     assert res[0].passed
+
+
+def test_round_sphere_christoffel_literal_matches_derivation():
+    from nullinf.leading_terms import _GHAT_GAMMA
+
+    coords = (TH, PH)
+    for (c, a, b), literal in _GHAT_GAMMA.items():
+        e = sum(
+            ROUND_INV[c, d] * (
+                sp.diff(ROUND_METRIC[d, a], coords[b])
+                + sp.diff(ROUND_METRIC[d, b], coords[a])
+                - sp.diff(ROUND_METRIC[a, b], coords[d])
+            )
+            for d in range(2)
+        )
+        assert sp.simplify(e / 2) == literal
+    assert len(_GHAT_GAMMA) == 8
 
 
 # -- compiled fields and the gathered metric evaluator ----------------------------
