@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +193,28 @@ def _check_value(subcommand, key, text):
         raise ConfigError(f"{subcommand}: {key} = {text!r} is outside the window {key} {rule.window()}")
 
 
+#: relations between the keys of one subcommand, each with its test on the float values
+RELATIONS = {
+    "model-pde": [("rho_min < eps", lambda v: v["rho_min"] < v["eps"])],
+    "bondi": [
+        ("u_start < u_end", lambda v: v["u_start"] < v["u_end"]),
+        ("u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end",
+         lambda v: v["u_start"] <= v["news_center"] - 10.0 * v["news_width"]
+         and v["news_center"] + 10.0 * v["news_width"] <= v["u_end"]),
+    ],
+    "verify-appendix": [("window_low < window_high", lambda v: v["window_low"] < v["window_high"])],
+}
+
+
+def _check_relations(subcommand, opts):
+    values = {k: float(v) for k, v in opts.items() if KEYS.get(k, Key()).read is float}
+    for rule, holds in RELATIONS.get(subcommand, ()):
+        if not holds(values):
+            keys = dict.fromkeys(k for k in re.findall(r"[a-z_]\w*", rule) if k in opts)
+            got = ", ".join(f"{k} = {opts[k]}" for k in keys)
+            raise ConfigError(f"{subcommand}: need {rule}; got {got}")
+
+
 def resolve_options(subcommand, raw: dict) -> dict:
     schema = SCHEMAS[subcommand]
     unknown = sorted(set(raw) - set(schema))
@@ -206,6 +229,7 @@ def resolve_options(subcommand, raw: dict) -> dict:
             raise ConfigError(f"missing required config key for {subcommand}: {key}")
         else:
             out[key] = default
+    _check_relations(subcommand, out)
     return out
 
 
@@ -442,11 +466,20 @@ def run(subcommand, config_path, outdir) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        reports = [RUNNERS[name](options[name], outdir) for name in names]
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+    reports = []
+    for name in names:
+        try:
+            reports.append(RUNNERS[name](options[name], outdir))
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 2
+        except (RuntimeError, ValueError) as exc:
+            # a solver that fails (Picard, Newton, tortoise inversion) is a failed check
+            report = RunReport(name)
+            # one CSV field: no commas, no line breaks
+            message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
+            report.add_exact("solver-error", "none", message)
+            reports.append(report)
 
     ok = True
     for report in reports:
@@ -479,6 +512,9 @@ def list_checks():
     for name, schema in SCHEMAS.items():
         keys = ", ".join(_describe(k, v is None) for k, v in schema.items())
         lines.append(f"{name}: config keys: {keys}")
+        rules = "; ".join(rule for rule, _ in RELATIONS.get(name, ()))
+        if rules:
+            lines.append(f"{name}: relations: {rules}")
     return "\n".join(lines)
 
 

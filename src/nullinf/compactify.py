@@ -63,7 +63,8 @@ def inverse_tortoise(rstar, m):
     """Radius with the given tortoise coordinate, by bracketed Newton.
 
     Converges on the monotone branch r > max(2m, 0); raises if 100 steps
-    do not bring |tortoise(r) - rstar| below 1e-13 * (1 + |rstar|).
+    do not bring |tortoise(r) - rstar| below 1e-13 * (1 + |rstar|), or,
+    close to the horizon, below the change of tortoise over one ulp of r.
     """
     tol = 1e-13
     maxiter = 100
@@ -110,7 +111,12 @@ def inverse_tortoise(rstar, m):
         r_new = np.where(outside, 0.5 * (lo + hi), r_new)
         r = np.where(done, r, r_new)
     else:
-        raise ValueError("tortoise inversion did not converge within the iteration cap")
+        # close to the horizon one ulp of r moves tortoise(r) by more than the
+        # tolerance: there, accept an r whose residual one ulp can account for.
+        # Tested only at the cap, so every r that meets the tolerance is unchanged.
+        f = tortoise(r, m) - rstar_arr
+        if not np.all((np.abs(f) < target) | (np.abs(f) <= r / (r - 2.0 * m) * np.spacing(r))):
+            raise ValueError("tortoise inversion did not converge within the iteration cap")
     return float(r[0]) if np.isscalar(rstar) or np.ndim(rstar) == 0 else r.reshape(np.shape(rstar))
 
 

@@ -3,9 +3,11 @@
 The mass-m static metric plus an optional perturbation with prescribed
 decay classes is built symbolically in coordinates (q, s, theta, phi) with
 the area radius r entering implicitly through r_* = (q - s)/2; the implicit
-dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  All component
-values and their first and second coordinate derivatives are compiled to
-vectorized numpy callables once per field.
+dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  The component
+values and their first and second coordinate derivatives share one
+common-subexpression pass; the components with their first derivatives are
+compiled to a vectorized numpy callable with the field, the second
+derivatives on their first use.
 """
 
 from __future__ import annotations
@@ -52,21 +54,57 @@ def compile_fields(args, exprs):
     broadcast to that shape.  Equal argument and expression lists share one
     compiled function.
     """
-    return _compiled(tuple(args), tuple(exprs))
+    return _compiled(tuple(args), (tuple(exprs),))[0].compile()
 
 
 @lru_cache(maxsize=1024)
-def _compiled(args, exprs):
-    fn = sp.lambdify(args, list(exprs), modules="numpy", cse=True)
+def _compiled(args, groups):
+    """One CSE over every group's expressions, and one evaluator per group.
 
-    def evaluate(*values):
+    Each evaluator keeps the common subexpressions its own expressions need
+    and is compiled by ``compile`` or else on its first call.
+    """
+    subs, reduced = sp.cse([e for group in groups for e in group], list=False)
+    evaluators, start = [], 0
+    for group in groups:
+        exprs = reduced[start:start + len(group)]
+        start += len(group)
+        needed = set().union(*(sp.sympify(e).free_symbols for e in exprs))
+        kept = []
+        for sym, e in reversed(subs):
+            if sym in needed:
+                kept.append((sym, e))
+                needed |= e.free_symbols
+        evaluators.append(_Evaluator(args, kept[::-1], exprs))
+    return tuple(evaluators)
+
+
+class _Evaluator:
+    """Compiled numpy evaluation of one expression group."""
+
+    def __init__(self, args, subs, exprs):
+        self._args, self._subs, self._exprs = args, subs, exprs
+        self._fn = None
+
+    def compile(self):
+        """Generate and compile the numpy code once; returns the evaluator."""
+        if self._fn is None:
+            self._fn = sp.lambdify(self._args, self._exprs, modules="numpy",
+                                   cse=lambda exprs: (self._subs, exprs))
+        return self
+
+    def rows(self, *values):
+        """Array of shape ``(len(exprs), ...)``: one contiguous row per expression."""
+        self.compile()
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        out = np.empty(shape + (len(exprs),))
-        for i, col in enumerate(fn(*values)):
-            out[..., i] = col
+        out = np.empty((len(self._exprs),) + shape)
+        for i, row in enumerate(self._fn(*values)):
+            out[i] = row
         return out
 
-    return evaluate
+    def __call__(self, *values):
+        """C-contiguous array of shape ``(..., len(exprs))``."""
+        return np.ascontiguousarray(np.moveaxis(self.rows(*values), 0, -1))
 
 
 @dataclass(frozen=True)
@@ -111,8 +149,13 @@ def perturbation(comps, weights=None, label="h"):
     return pf
 
 
-def _column_tables():
-    """Column of the compiled array behind each slot of g, dg and d2g."""
+def _row_tables():
+    """Row of the compiled arrays behind each slot of g, dg and d2g.
+
+    The components and their first derivatives are the 50 rows of the
+    order <= 1 group; the second derivatives are the 100 rows of the
+    order-2 group.
+    """
     n = len(_COMP_KEYS)
     pair = np.empty((4, 4), dtype=np.intp)
     for (mu, nu), key in _IDX.items():
@@ -121,21 +164,30 @@ def _column_tables():
     for b, (k, l) in enumerate((k, l) for k in range(4) for l in range(k, 4)):
         block[k, l] = block[l, k] = b
     first = n + n * np.arange(4)[:, None, None] + pair
-    second = 5 * n + n * block[:, :, None, None] + pair
+    second = n * block[:, :, None, None] + pair
     return pair, first, second
 
 
-_G_COLS, _DG_COLS, _D2G_COLS = _column_tables()
+_G_ROWS, _DG_ROWS, _D2G_ROWS = _row_tables()
+
+
+def _gather(rows, index):
+    """Points-first view of ``rows[index]``.
+
+    The index axes stay outermost in memory, so no transpose is copied.
+    """
+    picked = rows[index]
+    return np.moveaxis(picked, tuple(range(index.ndim)), tuple(range(-index.ndim, 0)))
 
 
 @dataclass
 class MetricEval:
     """Metric data evaluated on a batch of points.
 
-    ``cols`` holds the compiled columns of the metric field: the ten
-    components, then their first and their second derivatives.  ``g``,
-    ``dg`` and ``d2g`` are gathered from it on first read, so a caller that
-    never reads ``d2g`` never builds it.
+    ``rows`` holds the order <= 1 group: the ten components, then their
+    first derivatives.  ``g`` and ``dg`` are gathered from it on first read;
+    ``d2g`` evaluates the order-2 group on its first read, so a caller that
+    never reads it never computes it.
     """
 
     q: np.ndarray
@@ -143,22 +195,23 @@ class MetricEval:
     theta: np.ndarray
     phi: np.ndarray
     r: np.ndarray
-    cols: np.ndarray     # (N, 150)
+    rows: np.ndarray     # (50, N)
+    second: _Evaluator   # the order-2 group, 100 rows
 
     @cached_property
     def g(self):
         """(N, 4, 4)"""
-        return self.cols[..., _G_COLS]
+        return _gather(self.rows, _G_ROWS)
 
     @cached_property
     def dg(self):
         """(N, 4, 4, 4), index order (kappa, mu, nu)"""
-        return self.cols[..., _DG_COLS]
+        return _gather(self.rows, _DG_ROWS)
 
     @cached_property
     def d2g(self):
         """(N, 4, 4, 4, 4), index order (kappa, lambda, mu, nu)"""
-        return self.cols[..., _D2G_COLS]
+        return _gather(self.second.rows(self.r, self.q, self.s, self.theta, self.phi), _D2G_ROWS)
 
     @property
     def ginv(self):
@@ -204,10 +257,13 @@ class MetricField:
                 for l in range(k, 4):
                     second[(k, l, key)] = D[l](first[(k, key)])
 
-        exprs = [g[k] for k in _COMP_KEYS]
-        exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
-        exprs += [second[(k, l, key)] for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
-        self._fn = compile_fields((RR, Q, S, TH, PH), exprs)
+        order1 = [g[k] for k in _COMP_KEYS]
+        order1 += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
+        order2 = [second[(k, l, key)] for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
+        # one CSE over both orders keeps every row bitwise equal to a single
+        # compile; the order-2 group is compiled on the first read of d2g
+        self._low, self._high = _compiled((RR, Q, S, TH, PH), (tuple(order1), tuple(order2)))
+        self._low.compile()
 
     def radius(self, q, s):
         rstar = 0.5 * (np.asarray(q, dtype=float) - np.asarray(s, dtype=float))
@@ -218,19 +274,72 @@ class MetricField:
             *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (q, s, theta, phi))
         )
         r = np.atleast_1d(self.radius(q, s))
-        return MetricEval(q, s, theta, phi, r, self._fn(r, q, s, theta, phi))
+        return MetricEval(q, s, theta, phi, r, self._low.rows(r, q, s, theta, phi), self._high)
 
 
 # -- exact closed forms for the unperturbed metric --------------------------
 
 
+def _round_metric(theta):
+    """(N, 2, 2) round-sphere metric."""
+    ghat = np.zeros(theta.shape + (2, 2))
+    ghat[..., 0, 0] = 1.0
+    ghat[..., 1, 1] = np.sin(theta) ** 2
+    return ghat
+
+
 @dataclass
 class SchwarzschildExact:
+    """Closed-form connection and curvature of the mass-m metric at a batch of points.
+
+    ``riemann`` and ``ricci`` are built on first read, so a caller that
+    needs only the connection never builds them.
+    """
+
     r: np.ndarray
     theta: np.ndarray
+    m: float
     gamma: np.ndarray     # (N, 4, 4, 4): Gamma^kappa_{mu nu}
-    riemann: np.ndarray   # (N, 4, 4, 4, 4): R^kappa_{lambda mu nu}
-    ricci: np.ndarray     # (N, 4, 4)
+
+    @cached_property
+    def riemann(self):
+        """(N, 4, 4, 4, 4): R^kappa_{lambda mu nu}"""
+        m, r = self.m, self.r
+        ghat = _round_metric(self.theta)
+        f = 1.0 - 2.0 * m / r
+        riem = np.zeros(r.shape + (4, 4, 4, 4))
+
+        def put(k, lam, mu, nu, val):
+            riem[..., k, lam, mu, nu] += val
+            riem[..., k, lam, nu, mu] -= val
+
+        mr3f = m / r**3 * f
+        put(0, 0, 0, 1, -mr3f)
+        put(1, 1, 0, 1, mr3f)
+        for b in (2, 3):
+            for d in (2, 3):
+                gh = ghat[..., b - 2, d - 2]
+                put(0, b, 0, d, -m / r * gh)
+                put(1, b, 1, d, -m / r * gh)
+        for a in (2, 3):
+            put(a, 0, 1, a, -0.5 * mr3f)
+            put(a, 1, 0, a, -0.5 * mr3f)
+        # spherical block: R^a_{bcd} = 2 m / r (delta^a_c ghat_bd - delta^a_d ghat_bc)
+        for a in (2, 3):
+            for b in (2, 3):
+                for c in (2, 3):
+                    for d in (2, 3):
+                        val = 2.0 * m / r * (
+                            (1.0 if a == c else 0.0) * ghat[..., b - 2, d - 2]
+                            - (1.0 if a == d else 0.0) * ghat[..., b - 2, c - 2]
+                        )
+                        riem[..., a, b, c, d] = val
+        return riem
+
+    @cached_property
+    def ricci(self):
+        """(N, 4, 4); vanishes identically"""
+        return np.zeros(self.r.shape + (4, 4))
 
 
 def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
@@ -244,14 +353,11 @@ def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
     theta = np.broadcast_to(np.atleast_1d(np.asarray(theta, dtype=float)), r.shape).copy()
     if np.any(r <= 2 * m) or np.any(r <= 0):
         raise ValueError("need r > 2m and r > 0")
-    n = r.shape
     sin, cos = np.sin(theta), np.cos(theta)
-    ghat = np.zeros(n + (2, 2))
-    ghat[..., 0, 0] = 1.0
-    ghat[..., 1, 1] = sin**2
+    ghat = _round_metric(theta)
 
     f = 1.0 - 2.0 * m / r
-    gamma = np.zeros(n + (4, 4, 4))
+    gamma = np.zeros(r.shape + (4, 4, 4))
     gamma[..., 0, 0, 0] = m / r**2
     gamma[..., 1, 1, 1] = -m / r**2
     half_f_over_r = 0.5 * f / r
@@ -267,37 +373,7 @@ def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.where(sin != 0.0, cos / sin, 0.0)
     gamma[..., 3, 2, 3] = gamma[..., 3, 3, 2] = cot
-
-    riem = np.zeros(n + (4, 4, 4, 4))
-
-    def put(k, lam, mu, nu, val):
-        riem[..., k, lam, mu, nu] += val
-        riem[..., k, lam, nu, mu] -= val
-
-    mr3f = m / r**3 * f
-    put(0, 0, 0, 1, -mr3f)
-    put(1, 1, 0, 1, mr3f)
-    for b in (2, 3):
-        for d in (2, 3):
-            gh = ghat[..., b - 2, d - 2]
-            put(0, b, 0, d, -m / r * gh)
-            put(1, b, 1, d, -m / r * gh)
-    for a in (2, 3):
-        put(a, 0, 1, a, -0.5 * mr3f)
-        put(a, 1, 0, a, -0.5 * mr3f)
-    # spherical block: R^a_{bcd} = 2 m / r (delta^a_c ghat_bd - delta^a_d ghat_bc)
-    for a in (2, 3):
-        for b in (2, 3):
-            for c in (2, 3):
-                for d in (2, 3):
-                    val = 2.0 * m / r * (
-                        (1.0 if a == c else 0.0) * ghat[..., b - 2, d - 2]
-                        - (1.0 if a == d else 0.0) * ghat[..., b - 2, c - 2]
-                    )
-                    riem[..., a, b, c, d] = val
-
-    ricci = np.zeros(n + (4, 4))
-    return SchwarzschildExact(r, theta, gamma, riem, ricci)
+    return SchwarzschildExact(r, theta, m, gamma)
 
 
 # -- manufactured perturbations --------------------------------------------

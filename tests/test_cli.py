@@ -73,6 +73,12 @@ def test_unreadable_config_exits_2(tmp_path):
         ("index-sets", "truncation = -1\n"),
         ("verify-appendix", "mass = 0.1\nwindow_low = 0\n"),
         ("verify-appendix", "mass = 0.1\nrho0 = 0\n"),
+        ("model-pde", "rho_min = 0.5\n"),
+        ("verify-appendix", "mass = 0.1\nwindow_low = 1e-2\nwindow_high = 1e-4\n"),
+        ("bondi", "mass = 0.1\nu_start = 8\nu_end = -18\n"),
+        ("bondi", "mass = 0.1\nu_start = -10\n"),
+        ("bondi", "mass = 0.1\nnews_width = 2\n"),
+        ("all", "mass = 0.1\nmodel_pde.eps = 1e-6\n"),
     ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):
@@ -80,6 +86,19 @@ def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):
     assert cli.run(subcommand, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_solver_error_is_a_failing_report_row(tmp_path, capsys):
+    # x1bar = 1e9 sends the tortoise inversion outside r > 2m
+    cfg = write_config(tmp_path, "mass = 0.1\nx1bar = 1e9\n")
+    out = tmp_path / "out"
+    assert cli.run("geodesics", cfg, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL solver-error: got ValueError: tortoise coordinate needs r > 2m" in captured.out
+    rows = (out / "report_geodesics.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("solver-error,none,ValueError: tortoise")
+    assert rows[1].endswith(",fail")
 
 
 def test_index_sets_subcommand(tmp_path, capsys):

@@ -83,6 +83,22 @@ def test_inverse_tortoise_round_trip_from_horizon_to_far_field(mr):
     assert abs(back - rstar) < 1e-13 * (1.0 + abs(rstar))
 
 
+def test_inverse_tortoise_near_horizon_lands_within_one_ulp():
+    # r_* = -30 puts r within 2e-10 of 2m, where one ulp of r moves r_* by 2e-6
+    m = 0.7
+    rstar = np.concatenate([[-15.0, -20.0, -30.0], np.linspace(-30.0, 1e6, 1001)])
+    r = cp.inverse_tortoise(rstar, m)
+    assert np.all(r > 2.0 * m)
+    met = np.abs(cp.tortoise(r, m) - rstar) < 1e-13 * (1.0 + np.abs(rstar))
+    assert not np.any(met[:3])
+    # where no r meets the tolerance, the root lies within one ulp of r
+    below = cp.tortoise(np.nextafter(r[~met], -np.inf), m) - rstar[~met]
+    above = cp.tortoise(np.nextafter(r[~met], np.inf), m) - rstar[~met]
+    assert np.all((below < 0.0) & (above > 0.0))
+    for x, want in zip(rstar[3:], r[3:]):
+        assert cp.inverse_tortoise(x, m) == want
+
+
 def test_chart_transition_values():
     rho, v, omega = cp.chart_transition_temporal_to_nullcone(0.01, (0.2, 0.0, 0.0))
     assert rho == pytest.approx(0.05, abs=1e-15)

@@ -1,6 +1,7 @@
 import inspect
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from nullinf import tensors as tn
 from nullinf.bondi import news_compatible_field
 from nullinf.compactify import tortoise
 from nullinf.metrics import (
+    _COMP_KEYS,
     _IDX,
     RHO0,
     RHOI,
     RR,
     PH,
+    Q,
+    S,
     ROUND_INV,
     ROUND_METRIC,
     TH,
     MetricField,
+    _diff_ops,
     compile_fields,
     manufactured_suite,
     perturbation,
@@ -427,25 +432,71 @@ def scatter_assembly(vals, n):
     return g, dg, d2g
 
 
-@pytest.mark.parametrize("label", ["background", "manufactured", "news-compatible"])
-def test_gathered_metric_matches_scatter_assembly(label):
-    m = 0.1
+def single_compile_columns(mf, r, q, s, th, ph):
+    """Reference: all 150 component and derivative expressions in one compile."""
+    g = mf._component_exprs()
+    D = _diff_ops(mf.m)
+    first = {(k, key): D[k](g[key]) for key in _COMP_KEYS for k in range(4)}
+    exprs = [g[key] for key in _COMP_KEYS]
+    exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
+    exprs += [D[l](first[(k, key)]) for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
+    return compile_fields((RR, Q, S, TH, PH), exprs)(r, q, s, th, ph)
+
+
+def perturbation_for(label):
     if label == "background":
-        h = None
-    elif label == "manufactured":
-        h = manufactured_suite()[5]
-    else:
-        h, _ = news_compatible_field(0.1, 1 / (1 + 5 * RHO0))
-    mf = MetricField(m, h)
-    q, s, th, ph = random_points(np.random.default_rng(5), 30, m)
+        return None
+    if label == "manufactured":
+        return manufactured_suite()[5]
+    return news_compatible_field(0.1, 1 / (1 + 5 * RHO0))[0]
+
+
+@pytest.mark.parametrize(
+    "label, batch",
+    [pytest.param(label, batch, id=label + suffix)
+     for label in ("background", "manufactured", "news-compatible")
+     for batch, suffix in (((270,), ""), ((30, 9), "-2d"))],  # Picard sweeps evaluate 2-D batches
+)
+def test_gathered_metric_matches_scatter_assembly(label, batch):
+    m = 0.1
+    mf = MetricField(m, perturbation_for(label))
+    q, s, th, ph = (x.reshape(batch) for x in random_points(np.random.default_rng(5), 270, m))
     ev = mf.at(q, s, th, ph)
-    tn.christoffel(ev)
+    gamma = tn.christoffel(ev)
     assert "d2g" not in vars(ev)  # never built unless read
-    cols = mf._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
-    g, dg, d2g = scatter_assembly([cols[..., i] for i in range(cols.shape[-1])], ev.q.shape)
+    riem, _ = tn.riemann_ricci(ev)
+
+    cols = single_compile_columns(mf, ev.r, ev.q, ev.s, ev.theta, ev.phi)
+    g, dg, d2g = scatter_assembly([cols[..., i] for i in range(cols.shape[-1])], batch)
+    ref = SimpleNamespace(g=g, dg=dg, d2g=d2g, ginv=np.linalg.inv(g))
+    assert ev.g.shape == batch + (4, 4) and ev.d2g.shape == batch + (4, 4, 4, 4)
     assert np.array_equal(ev.g, g)
     assert np.array_equal(ev.dg, dg)
     assert np.array_equal(ev.d2g, d2g)
+    assert np.array_equal(gamma, tn.christoffel(ref))
+    assert np.array_equal(riem, tn.riemann_ricci(ref)[0])
+
+
+def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
+    compiled = []
+    lambdify = sp.lambdify
+
+    def counting(args, exprs, **kw):
+        compiled.append(len(exprs))
+        return lambdify(args, exprs, **kw)
+
+    monkeypatch.setattr(metrics.sp, "lambdify", counting)
+    # an expression no other test compiles, so the memo cannot hold it
+    h = perturbation({"13": sp.Rational(17, 29) * RHO0 * RHOI * sp.sin(TH) ** 2})
+    mf = MetricField(0.3, h)
+    ev = mf.at(*random_points(np.random.default_rng(2), 12, 0.3))
+    tn.christoffel(ev)
+    assert compiled == [50]
+    ev.d2g
+    assert compiled == [50, 100]
+    ev2 = mf.at(*random_points(np.random.default_rng(3), 5, 0.3))
+    ev2.d2g
+    assert compiled == [50, 100]
 
 
 def test_compile_fields_shape_constants_and_memo():
@@ -466,5 +517,5 @@ def test_lambdify_called_only_inside_compile_fields():
     package = Path(nullinf.__file__).parent
     calls = sum(p.read_text().count("lambdify(") for p in package.glob("*.py"))
     assert calls == 1
-    assert "lambdify(" in inspect.getsource(metrics._compiled)
+    assert "lambdify(" in inspect.getsource(metrics._Evaluator.compile)
     assert "_compiled(" in inspect.getsource(metrics.compile_fields)
