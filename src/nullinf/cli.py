@@ -458,7 +458,8 @@ def run(subcommand, config_path, outdir) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         raw = parse_config(Path(config_path)) if config_path else {}
         names = list(RUNNERS) if subcommand == "all" else [subcommand]
-        options = {name: resolve_options(name, raw if subcommand != "all" else _slice_config(raw, name)) for name in names}
+        sliced = _slice_config(raw) if subcommand == "all" else {subcommand: raw}
+        options = {name: resolve_options(name, sliced[name]) for name in names}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -491,14 +492,27 @@ def run(subcommand, config_path, outdir) -> int:
     return 0 if ok else 1
 
 
-def _slice_config(raw: dict, name: str) -> dict:
-    prefix = name.replace("-", "_") + "."
-    out = {}
+def _slice_config(raw: dict) -> dict:
+    """Split a config for ``all`` by subcommand.
+
+    ``model_pde.gamma`` goes to model-pde only, a bare key to every
+    subcommand whose schema has it; any other key is a config error.
+    """
+    sections = {name.replace("-", "_"): name for name in SCHEMAS}
+    out = {name: {} for name in SCHEMAS}
+    unknown = []
     for key, value in raw.items():
-        if key.startswith(prefix):
-            out[key[len(prefix):]] = value
-        elif "." not in key and key in SCHEMAS[name]:
-            out[key] = value
+        section, dot, rest = key.partition(".")
+        if dot and section in sections:
+            out[sections[section]][rest] = value
+            continue
+        homes = [name for name, schema in SCHEMAS.items() if key in schema]
+        if not homes:
+            unknown.append(key)
+        for name in homes:
+            out[name][key] = value
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     return out
 
 

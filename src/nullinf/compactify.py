@@ -62,9 +62,11 @@ def tortoise(r, m):
 def inverse_tortoise(rstar, m):
     """Radius with the given tortoise coordinate, by bracketed Newton.
 
-    Converges on the monotone branch r > max(2m, 0); raises if 100 steps
-    do not bring |tortoise(r) - rstar| below 1e-13 * (1 + |rstar|), or,
-    close to the horizon, below the change of tortoise over one ulp of r.
+    Converges on the monotone branch r > max(2m, 0); raises if after 100
+    steps |tortoise(r) - rstar| is not below 1e-13 * (1 + |rstar|) and the
+    root does not lie within one ulp of r (close to the horizon).  For
+    m > 0 the smallest reachable rstar is the image of the smallest double
+    above 2m; a smaller rstar raises a ValueError that names that bound.
     """
     tol = 1e-13
     maxiter = 100
@@ -87,6 +89,12 @@ def inverse_tortoise(rstar, m):
         # or toward r = 0 where r_* = r (m = 0)
         if m < 0.0 or (m == 0.0 and np.any(rstar_arr <= 0.0)):
             raise ValueError("tortoise coordinate out of range for m <= 0")
+        floor = tortoise(np.nextafter(lo_edge, np.inf), m)
+        if np.any(rstar_arr < floor):
+            raise ValueError(
+                f"tortoise coordinate needs r > 2m: at m = {m} the smallest reachable r* is "
+                f"{float(floor)} (the smallest double r above 2m), got r* = {float(np.min(rstar_arr))}"
+            )
         for _ in range(2000):
             bad = tortoise(lo, m) > rstar_arr
             if not np.any(bad):
@@ -112,10 +120,14 @@ def inverse_tortoise(rstar, m):
         r = np.where(done, r, r_new)
     else:
         # close to the horizon one ulp of r moves tortoise(r) by more than the
-        # tolerance: there, accept an r whose residual one ulp can account for.
+        # tolerance: there, accept an r whose two neighbouring doubles bracket
+        # the root.  The left one is clamped to the smallest double above 2m,
+        # whose image is at most rstar once the bracket above exists.
         # Tested only at the cap, so every r that meets the tolerance is unchanged.
         f = tortoise(r, m) - rstar_arr
-        if not np.all((np.abs(f) < target) | (np.abs(f) <= r / (r - 2.0 * m) * np.spacing(r))):
+        left = np.maximum(np.nextafter(r, -np.inf), np.nextafter(lo_edge, np.inf))
+        within = (tortoise(left, m) <= rstar_arr) & (tortoise(np.nextafter(r, np.inf), m) >= rstar_arr)
+        if not np.all((np.abs(f) < target) | within):
             raise ValueError("tortoise inversion did not converge within the iteration cap")
     return float(r[0]) if np.isscalar(rstar) or np.ndim(rstar) == 0 else r.reshape(np.shape(rstar))
 

@@ -7,6 +7,10 @@ trapezoid (second order) on a shared logarithmic grid; the damped first
 factor is integrated exactly through its exponential weight.  The grid is
 extended to the left so that every diagonal through the requested window
 starts on the data edge.
+
+A forcing is a callable f(rho0, rhoI) of elementwise numpy operations: a
+mode solve calls it once, with broadcastable arrays of shapes (1, n_ext)
+and (nJ, 1) covering the whole extended grid.
 """
 
 from __future__ import annotations
@@ -113,7 +117,10 @@ def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
     """Integrate the factored model inward from the top edge.
 
     Works on the grid extended to the left by one diagonal sweep so that the
-    whole requested window is reached from the data edge; returns core
+    whole requested window is reached from the data edge.  The forcing is
+    evaluated once on the whole extended grid; each step turns the rows
+    (u, w) at rhoI[j + 1] into those at rhoI[j] and keeps only their core
+    part, so no extended array outlives the step.  Returns C-contiguous core
     arrays (u, w).
     """
     h = grid.h
@@ -124,32 +131,30 @@ def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
     rho0_ext = grid.eps * np.exp(h * (np.arange(next_) - (next_ - 1)))
 
     lam = float(grid.ell * (grid.ell + 1))
-    U = np.full((next_, nJ), np.nan)
-    W = np.full((next_, nJ), np.nan)
-    u_top, w_top = data.top_values(rho0_ext)
-    U[:, nJ - 1] = u_top
-    W[:, nJ - 1] = w_top
-
-    def F(col_j):
-        if forcing is None:
-            return np.zeros(next_)
-        return np.asarray(forcing(rho0_ext, np.full(next_, rhoI[col_j])), dtype=float)
+    F = 0.0 if forcing is None else forcing(rho0_ext[None, :], rhoI[:, None])
+    F = np.broadcast_to(np.asarray(F, dtype=float), (nJ, next_))
+    # row j holds the core of the column rhoI[j]
+    u_rows = np.empty((nJ, ncore))
+    w_rows = np.empty((nJ, ncore))
+    U, W = data.top_values(rho0_ext)
+    u_rows[nJ - 1], w_rows[nJ - 1] = U[nJ - 1 :], W[nJ - 1 :]
 
     decay = math.exp(-gamma * h)
-    F_above = F(nJ - 1)
+    # A[0] stays NaN: cells that no diagonal from the data edge reaches come out NaN
+    A = np.empty(next_)
+    A[0] = np.nan
     for j in range(nJ - 2, -1, -1):
-        S_above = 0.5 * rhoI[j + 1] * (F_above + lam * U[:, j + 1])
-        B = decay * (W[:, j + 1] - 0.5 * h * S_above)
-        F_here = F(j)
+        S_above = 0.5 * rhoI[j + 1] * (F[j + 1] + lam * U)
+        B = decay * (W - 0.5 * h * S_above)
         c = 0.25 * h * rhoI[j]
-        A = np.full(next_, np.nan)
-        A[1:] = U[:-1, j + 1] + 0.5 * h * W[:-1, j + 1]
-        W[:, j] = (B - c * F_here - c * lam * A) / (1.0 + 0.5 * c * lam * h)
-        U[:, j] = A + 0.5 * h * W[:, j]
-        F_above = F_here
+        A[1:] = U[:-1] + 0.5 * h * W[:-1]
+        W = (B - c * F[j] - c * lam * A) / (1.0 + 0.5 * c * lam * h)
+        U = A + 0.5 * h * W
+        u_rows[j], w_rows[j] = U[nJ - 1 :], W[nJ - 1 :]
+    del F
 
-    u = U[nJ - 1 :, :]
-    w = W[nJ - 1 :, :]
+    u = u_rows.T.copy()
+    w = w_rows.T.copy()
     if np.any(np.isnan(u)) or np.any(np.isnan(w)):
         raise RuntimeError("characteristic march left unfilled cells in the core window")
 
@@ -161,7 +166,12 @@ def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
 
 
 def solve_damped_mode(grid: CharacteristicGrid, gamma, forcing=None, data: BoundaryData | None = None) -> ModeSolution:
-    """Mode solver with the damped first factor (rhoI d/drhoI - gamma)."""
+    """Mode solver with the damped first factor (rhoI d/drhoI - gamma).
+
+    ``forcing(rho0, rhoI)`` is called once, with rho0 of shape (1, n_ext)
+    over the extended grid and rhoI of shape (nJ, 1); its result must
+    broadcast to (nJ, n_ext).
+    """
     if gamma < 0:
         raise ValueError("damping exponent must be nonnegative")
     data = data or BoundaryData()
@@ -196,21 +206,22 @@ def _quadratic_source(sol: ModeSolution):
 
 
 def _grid_interp(grid: CharacteristicGrid, table):
-    """Nearest-column interpolant for grid-sampled sources on the extension.
+    """Nearest-node interpolant for grid-sampled sources, elementwise.
 
-    Sources vanish off the core window (the extension sits at smaller rho0,
-    where the quadratic sources are below the data floor by construction).
+    Each (r0, rI) reads the table at the nearest grid node in log of both
+    coordinates.  Sources vanish off the core window (the extension sits at
+    smaller rho0, where the quadratic sources are below the data floor by
+    construction).
     """
     rho0 = grid.rho0
     rhoI = grid.rhoI
 
+    def nearest(x, nodes):
+        return np.clip(np.round(np.log(x / nodes[0]) / grid.h).astype(int), 0, len(nodes) - 1)
+
     def f(r0, rI):
-        out = np.zeros_like(r0)
-        j = np.argmin(np.abs(np.log(rI[0] / rhoI)))
-        mask = r0 >= rho0[0] * (1.0 - 1e-12)
-        idx = np.clip(np.round(np.log(r0[mask] / rho0[0]) / grid.h).astype(int), 0, len(rho0) - 1)
-        out[mask] = table[idx, j]
-        return out
+        inside = r0 >= rho0[0] * (1.0 - 1e-12)
+        return np.where(inside, table[nearest(r0, rho0), nearest(rI, rhoI)], 0.0)
 
     return f
 

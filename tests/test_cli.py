@@ -79,6 +79,8 @@ def test_unreadable_config_exits_2(tmp_path):
         ("bondi", "mass = 0.1\nu_start = -10\n"),
         ("bondi", "mass = 0.1\nnews_width = 2\n"),
         ("all", "mass = 0.1\nmodel_pde.eps = 1e-6\n"),
+        ("all", "mass = 0.1\nmodl_pde.gamma = 0.25\n"),
+        ("all", "mass = 0.1\nmas = 0.2\n"),
     ],
 )
 def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):

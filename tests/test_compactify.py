@@ -84,19 +84,28 @@ def test_inverse_tortoise_round_trip_from_horizon_to_far_field(mr):
 
 
 def test_inverse_tortoise_near_horizon_lands_within_one_ulp():
-    # r_* = -30 puts r within 2e-10 of 2m, where one ulp of r moves r_* by 2e-6
+    # r_* = -30 puts r within 2e-10 of 2m, where one ulp of r moves r_* by 2e-6;
+    # from -48.09 down to the floor -49.06 the root lies within one ulp of 2m
     m = 0.7
-    rstar = np.concatenate([[-15.0, -20.0, -30.0], np.linspace(-30.0, 1e6, 1001)])
+    floor = cp.tortoise(np.nextafter(2.0 * m, np.inf), m)
+    near = [-15.0, -20.0, -30.0, -48.9, -49.0, -49.05, -49.061]
+    rstar = np.concatenate([near, [floor], np.linspace(-30.0, 1e6, 1001)])
     r = cp.inverse_tortoise(rstar, m)
     assert np.all(r > 2.0 * m)
+    assert r[len(near)] == np.nextafter(2.0 * m, np.inf)
     met = np.abs(cp.tortoise(r, m) - rstar) < 1e-13 * (1.0 + np.abs(rstar))
-    assert not np.any(met[:3])
+    assert not np.any(met[: len(near)])
     # where no r meets the tolerance, the root lies within one ulp of r
-    below = cp.tortoise(np.nextafter(r[~met], -np.inf), m) - rstar[~met]
+    left = np.maximum(np.nextafter(r[~met], -np.inf), np.nextafter(2.0 * m, np.inf))
+    below = cp.tortoise(left, m) - rstar[~met]
     above = cp.tortoise(np.nextafter(r[~met], np.inf), m) - rstar[~met]
     assert np.all((below < 0.0) & (above > 0.0))
     for x, want in zip(rstar[3:], r[3:]):
         assert cp.inverse_tortoise(x, m) == want
+    # below the image of the smallest double above 2m no r exists
+    for x in (-49.1, np.nextafter(floor, -np.inf), [-20.0, -50.0]):
+        with pytest.raises(ValueError, match=r"at m = 0.7 the smallest reachable r\* is -49.06.*got r\* = -(49|50)"):
+            cp.inverse_tortoise(x, m)
 
 
 def test_chart_transition_values():

@@ -243,6 +243,127 @@ def test_newton_solves_the_linear_u0_mode_once(monkeypatch):
     assert all(it[0] is iterates[0][0] for it in iterates)
 
 
+# -- the march against the column-loop reference ---------------------------------------
+
+
+def column_march(grid, gamma, forcing, data):
+    """The march one column at a time on (n_ext, nJ) arrays: the reference."""
+    h = grid.h
+    rhoI = grid.rhoI
+    nJ = len(rhoI)
+    ncore = len(grid.rho0)
+    next_ = ncore + nJ - 1
+    rho0_ext = grid.eps * np.exp(h * (np.arange(next_) - (next_ - 1)))
+
+    lam = float(grid.ell * (grid.ell + 1))
+    U = np.full((next_, nJ), np.nan)
+    W = np.full((next_, nJ), np.nan)
+    u_top, w_top = data.top_values(rho0_ext)
+    U[:, nJ - 1] = u_top
+    W[:, nJ - 1] = w_top
+
+    def F(col_j):
+        if forcing is None:
+            return np.zeros(next_)
+        return np.asarray(forcing(rho0_ext, np.full(next_, rhoI[col_j])), dtype=float)
+
+    decay = math.exp(-gamma * h)
+    F_above = F(nJ - 1)
+    for j in range(nJ - 2, -1, -1):
+        S_above = 0.5 * rhoI[j + 1] * (F_above + lam * U[:, j + 1])
+        B = decay * (W[:, j + 1] - 0.5 * h * S_above)
+        F_here = F(j)
+        c = 0.25 * h * rhoI[j]
+        A = np.full(next_, np.nan)
+        A[1:] = U[:-1, j + 1] + 0.5 * h * W[:-1, j + 1]
+        W[:, j] = (B - c * F_here - c * lam * A) / (1.0 + 0.5 * c * lam * h)
+        U[:, j] = A + 0.5 * h * W[:, j]
+        F_above = F_here
+
+    u = U[nJ - 1 :, :]
+    w = W[nJ - 1 :, :]
+    assert not (np.any(np.isnan(u)) or np.any(np.isnan(w)))
+    mismatch = 0.0
+    if data.u_right is not None:
+        target = np.asarray(data.u_right(rhoI), dtype=float)
+        mismatch = float(np.max(np.abs(u[-1, :] - target)))
+    return u, w, mismatch
+
+
+def column_grid_interp(grid, table):
+    """Nearest-column interpolant for one column of r0 at a time: the reference."""
+    rho0 = grid.rho0
+    rhoI = grid.rhoI
+
+    def f(r0, rI):
+        out = np.zeros_like(r0)
+        j = np.argmin(np.abs(np.log(rI[0] / rhoI)))
+        mask = r0 >= rho0[0] * (1.0 - 1e-12)
+        idx = np.clip(np.round(np.log(r0[mask] / rho0[0]) / grid.h).astype(int), 0, len(rho0) - 1)
+        out[mask] = table[idx, j]
+        return out
+
+    return f
+
+
+def assert_same_solution(sol, ref):
+    assert np.array_equal(sol.u, ref.u) and np.array_equal(sol.w, ref.w)
+    assert sol.corner_mismatch == ref.corner_mismatch
+
+
+EDGE = mp.BoundaryData(
+    u_top=lambda r0: np.sin(np.log(r0)),
+    w_top=lambda r0: 1.0 / (1.0 + r0),
+    u_right=lambda rI: rI**0.5,
+)
+
+
+@pytest.mark.parametrize(
+    "grid, gamma, forcing, data",
+    [
+        (mp.CharacteristicGrid(ell=2), 0.0, lambda r0, rI: r0**0.6 * log_bump(3e-3)(rI), None),
+        (mp.CharacteristicGrid(ell=2), 0.4, None, EDGE),
+        (GRID, 0.5, lambda r0, rI: log_bump(2e-2, 0.6)(r0) * compact_log_bump(1e-2)(rI), None),
+        (GRID, 0.0, None, EDGE),
+        (GRID.refined(2), 0.25, lambda r0, rI: r0**0.6 * rI ** (-0.5) * log_bump(2e-2, 0.7)(r0), EDGE),
+    ],
+    ids=["ell2", "ell2-data", "gamma", "no-forcing-data", "refined"],
+)
+def test_march_matches_column_reference(monkeypatch, grid, gamma, forcing, data):
+    sol = mp.solve_damped_mode(grid, gamma, forcing, data)
+    monkeypatch.setattr(mp, "_march", column_march)
+    assert_same_solution(sol, mp.solve_damped_mode(grid, gamma, forcing, data))
+
+
+def test_newton_iterates_match_column_reference(monkeypatch):
+    f0, f1 = toy_setup()
+    iterates, errors, ratios = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=8)
+    monkeypatch.setattr(mp, "_march", column_march)
+    monkeypatch.setattr(mp, "_grid_interp", column_grid_interp)
+    ref = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=8)
+    assert errors == ref[1] and ratios == ref[2]
+    for step, ref_step in zip(iterates, ref[0], strict=True):
+        for sol, ref_sol in zip(step, ref_step, strict=True):
+            assert_same_solution(sol, ref_sol)
+
+
+def test_forcing_is_called_once_on_the_whole_grid():
+    calls = []
+
+    def forcing(r0, rI):
+        calls.append((r0.shape, rI.shape))
+        return r0 * log_bump(1e-2)(rI)
+
+    grid = GRID.refined(2)
+    sol = mp.solve_damped_mode(grid, 0.5, forcing)
+    n_ext = len(grid.rho0) + len(grid.rhoI) - 1
+    assert calls == [((1, n_ext), (len(grid.rhoI), 1))]
+    # the core arrays do not pin the extended work arrays
+    for a in (sol.u, sol.w):
+        assert a.shape == (len(grid.rho0), len(grid.rhoI))
+        assert a.flags.c_contiguous and a.flags.owndata
+
+
 # -- fits ------------------------------------------------------------------------------
 
 
