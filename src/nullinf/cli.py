@@ -95,56 +95,23 @@ def parse_config(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key}")
         out[key] = value
     return out
 
 
-SCHEMAS = {
-    "index-sets": {"truncation": "4"},
-    "model-pde": {
-        "gamma": "0.5",
-        "ell": "0",
-        "eps": "0.1",
-        "rho_min": "1e-5",
-        "points_per_decade": "16",
-        "forcing_amplitude": "1.0",
-        "forcing_center": "0.01",
-        "exponent_rel_tol": "0.10",
-    },
-    "geodesics": {
-        "mass": None,
-        "x1bar": "-30.0",
-        "theta": "1.1",
-        "phi": "0.7",
-        "s0": "20.0",
-        "null_norm_tol": "1e-8",
-        "component_drift_tol": "1e-10",
-    },
-    "bondi": {
-        "mass": None,
-        "news_amplitude": "1.0",
-        "news_center": "-5.0",
-        "news_width": "1.0",
-        "u_start": "-18.0",
-        "u_end": "8.0",
-        "u_samples": "601",
-        "quad_theta": "16",
-        "quad_phi": "24",
-        "budget_tol": "1e-6",
-    },
-    "verify-appendix": {
-        "mass": None,
-        "rho0": "0.1",
-        "window_low": "1e-4",
-        "window_high": "1e-2",
-        "slack": "0.1",
-    },
-}
-
-
 class Key(NamedTuple):
-    """How a runner reads a config value, and the lowest value it accepts."""
+    """One row of the config table: a key's default, its reader and its window.
 
+    ``SCHEMAS[subcommand][key]`` is the only place a key is described.  A
+    given value is read once with ``read`` and checked against the window
+    ``low`` (exclusive when ``strict``); the default is already a value of
+    that type inside the window, or ``None`` for a required key.  Runners get
+    the typed values and never read text.
+    """
+
+    default: object
     read: type = float
     low: float | None = None
     strict: bool = False    # the bound itself lies outside the window
@@ -152,48 +119,66 @@ class Key(NamedTuple):
     def window(self):
         return "" if self.low is None else f"{'>' if self.strict else '>='} {self.low:g}"
 
+    def parse(self, subcommand, key, text):
+        """The value of ``text``; a config error if it is not a finite value inside the window."""
+        try:
+            value = self.read(text)
+        except (ValueError, ZeroDivisionError):
+            what = "an integer" if self.read is int else "a number"
+            raise ConfigError(f"{subcommand}: {key} = {text!r} is not {what}") from None
+        if self.read is float and not math.isfinite(value):
+            raise ConfigError(f"{subcommand}: {key} = {text!r} is not finite")
+        if self.low is not None and (value <= self.low if self.strict else value < self.low):
+            raise ConfigError(f"{subcommand}: {key} = {text!r} is outside the window {key} {self.window()}")
+        return value
 
-#: reader and window of each key; a key not listed is a float with no bound
-KEYS = {
-    "truncation": Key(Fraction, 0, strict=True),
-    "mass": Key(low=0.0),
-    "gamma": Key(low=0.0),
-    "ell": Key(int, 0),
-    "eps": Key(low=0.0, strict=True),
-    "rho_min": Key(low=1e-8),
-    "points_per_decade": Key(int, 16),
-    "forcing_center": Key(low=0.0, strict=True),
-    "exponent_rel_tol": Key(low=0.0),
-    "s0": Key(low=0.0, strict=True),
-    "null_norm_tol": Key(low=0.0),
-    "component_drift_tol": Key(low=0.0),
-    "news_width": Key(low=0.0, strict=True),
-    "u_samples": Key(int, 2),
-    "quad_theta": Key(int, 1),
-    "quad_phi": Key(int, 1),
-    "budget_tol": Key(low=0.0),
-    "rho0": Key(low=0.0, strict=True),
-    "window_low": Key(low=0.0, strict=True),
-    "window_high": Key(low=0.0, strict=True),
-    "slack": Key(low=0.0),
+
+MASS = Key(None, float, 0.0)
+
+SCHEMAS = {
+    "index-sets": {"truncation": Key(Fraction(4), Fraction, 0, strict=True)},
+    "model-pde": {
+        "gamma": Key(0.5, float, 0.0),
+        "ell": Key(0, int, 0),
+        "eps": Key(0.1, float, 0.0, strict=True),
+        "rho_min": Key(1e-5, float, 1e-8),
+        "points_per_decade": Key(16, int, 16),
+        "forcing_amplitude": Key(1.0),
+        "forcing_center": Key(0.01, float, 0.0, strict=True),
+        "exponent_rel_tol": Key(0.10, float, 0.0),
+    },
+    "geodesics": {
+        "mass": MASS,
+        "x1bar": Key(-30.0),
+        "theta": Key(1.1),
+        "phi": Key(0.7),
+        "s0": Key(20.0, float, 0.0, strict=True),
+        "null_norm_tol": Key(1e-8, float, 0.0),
+        "component_drift_tol": Key(1e-10, float, 0.0),
+    },
+    "bondi": {
+        "mass": MASS,
+        "news_amplitude": Key(1.0),
+        "news_center": Key(-5.0),
+        "news_width": Key(1.0, float, 0.0, strict=True),
+        "u_start": Key(-18.0),
+        "u_end": Key(8.0),
+        "u_samples": Key(601, int, 2),
+        "quad_theta": Key(16, int, 1),
+        "quad_phi": Key(24, int, 1),
+        "budget_tol": Key(1e-6, float, 0.0),
+    },
+    "verify-appendix": {
+        "mass": MASS,
+        "rho0": Key(0.1, float, 0.0, strict=True),
+        "window_low": Key(1e-4, float, 0.0, strict=True),
+        "window_high": Key(1e-2, float, 0.0, strict=True),
+        "slack": Key(0.1, float, 0.0),
+    },
 }
 
 
-def _check_value(subcommand, key, text):
-    """Reject a value its runner could not read as a finite number, or one outside its window."""
-    rule = KEYS.get(key, Key())
-    try:
-        value = rule.read(text)
-    except (ValueError, ZeroDivisionError):
-        what = "an integer" if rule.read is int else "a number"
-        raise ConfigError(f"{subcommand}: {key} = {text!r} is not {what}") from None
-    if rule.read is float and not math.isfinite(value):
-        raise ConfigError(f"{subcommand}: {key} = {text!r} is not finite")
-    if rule.low is not None and (value <= rule.low if rule.strict else value < rule.low):
-        raise ConfigError(f"{subcommand}: {key} = {text!r} is outside the window {key} {rule.window()}")
-
-
-#: relations between the keys of one subcommand, each with its test on the float values
+#: relations between the keys of one subcommand, each with its test on the values
 RELATIONS = {
     "model-pde": [("rho_min < eps", lambda v: v["rho_min"] < v["eps"])],
     "bondi": [
@@ -202,34 +187,39 @@ RELATIONS = {
          lambda v: v["u_start"] <= v["news_center"] - 10.0 * v["news_width"]
          and v["news_center"] + 10.0 * v["news_width"] <= v["u_end"]),
     ],
-    "verify-appendix": [("window_low < window_high", lambda v: v["window_low"] < v["window_high"])],
+    "verify-appendix": [
+        ("window_low < window_high", lambda v: v["window_low"] < v["window_high"]),
+        # the decay fit takes log(-log rhoI)
+        ("window_high < 1", lambda v: v["window_high"] < 1.0),
+    ],
 }
 
 
-def _check_relations(subcommand, opts):
-    values = {k: float(v) for k, v in opts.items() if KEYS.get(k, Key()).read is float}
+def _check_relations(subcommand, values, raw):
+    """Reject values that break a relation; the message echoes the text the user gave."""
     for rule, holds in RELATIONS.get(subcommand, ()):
         if not holds(values):
-            keys = dict.fromkeys(k for k in re.findall(r"[a-z_]\w*", rule) if k in opts)
-            got = ", ".join(f"{k} = {opts[k]}" for k in keys)
+            keys = dict.fromkeys(k for k in re.findall(r"[a-z_]\w*", rule) if k in values)
+            # a default is shown as it would be written: 1e-5, not 1e-05
+            got = ", ".join(f"{k} = {raw.get(k, str(values[k]).replace('e-0', 'e-'))}" for k in keys)
             raise ConfigError(f"{subcommand}: need {rule}; got {got}")
 
 
 def resolve_options(subcommand, raw: dict) -> dict:
+    """The typed value of every key of one subcommand: each given text read once, the rest defaults."""
     schema = SCHEMAS[subcommand]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config key(s) for {subcommand}: {', '.join(unknown)}")
     out = {}
-    for key, default in schema.items():
+    for key, rule in schema.items():
         if key in raw:
-            out[key] = raw[key]
-            _check_value(subcommand, key, raw[key])
-        elif default is None:
+            out[key] = rule.parse(subcommand, key, raw[key])
+        elif rule.default is None:
             raise ConfigError(f"missing required config key for {subcommand}: {key}")
         else:
-            out[key] = default
-    _check_relations(subcommand, out)
+            out[key] = rule.default
+    _check_relations(subcommand, out, raw)
     return out
 
 
@@ -239,7 +229,7 @@ def resolve_options(subcommand, raw: dict) -> dict:
 def run_index_sets(opts, outdir: Path) -> RunReport:
     from . import indexsets as ix
 
-    trunc = Fraction(opts["truncation"])
+    trunc = opts["truncation"]
     report = RunReport("index-sets")
 
     cases = {
@@ -284,16 +274,16 @@ def run_model_pde(opts, outdir: Path) -> RunReport:
     from . import modelpde as mp
 
     report = RunReport("model-pde")
-    gamma = float(opts["gamma"])
+    gamma = opts["gamma"]
     grid = mp.CharacteristicGrid(
-        eps=float(opts["eps"]),
-        rho0_min=float(opts["rho_min"]),
-        rhoI_min=float(opts["rho_min"]),
-        points_per_decade=int(opts["points_per_decade"]),
-        ell=int(opts["ell"]),
+        eps=opts["eps"],
+        rho0_min=opts["rho_min"],
+        rhoI_min=opts["rho_min"],
+        points_per_decade=opts["points_per_decade"],
+        ell=opts["ell"],
     )
-    amp = float(opts["forcing_amplitude"])
-    center = float(opts["forcing_center"])
+    amp = opts["forcing_amplitude"]
+    center = opts["forcing_center"]
 
     def bump(x, c, width):
         z = np.log(np.asarray(x, dtype=float) / c) / 1.2
@@ -323,7 +313,7 @@ def run_model_pde(opts, outdir: Path) -> RunReport:
         outdir / "modelpde_summary.csv",
     )
     if gamma > 0:
-        report.add("decay-exponent", gamma, fit.exponent, float(opts["exponent_rel_tol"]) * gamma)
+        report.add("decay-exponent", gamma, fit.exponent, opts["exponent_rel_tol"] * gamma)
     else:
         report.add_bound("leading-term-present", 1.0 / max(abs(fit.c0), 1e-300), 1e6)
     return report
@@ -334,12 +324,12 @@ def run_geodesics(opts, outdir: Path) -> RunReport:
     from .metrics import MetricField
 
     report = RunReport("geodesics")
-    metric = MetricField(float(opts["mass"]))
+    metric = MetricField(opts["mass"])
     traj = integrate_radial_null_geodesic(
         metric,
-        float(opts["x1bar"]),
-        np.array([float(opts["theta"]), float(opts["phi"])]),
-        s0=float(opts["s0"]),
+        opts["x1bar"],
+        np.array([opts["theta"], opts["phi"]]),
+        s0=opts["s0"],
     )
     nn = traj.null_norm(metric)
     rows = [
@@ -351,13 +341,13 @@ def run_geodesics(opts, outdir: Path) -> RunReport:
         rows,
         outdir / "trajectory.csv",
     )
-    report.add_bound("null-norm", np.max(np.abs(nn)), float(opts["null_norm_tol"]))
+    report.add_bound("null-norm", np.max(np.abs(nn)), opts["null_norm_tol"])
     drift = max(
-        np.max(np.abs(traj.x[:, 1] - float(opts["x1bar"]))),
-        np.max(np.abs(traj.x[:, 2] - float(opts["theta"]))),
-        np.max(np.abs(traj.x[:, 3] - float(opts["phi"]))),
+        np.max(np.abs(traj.x[:, 1] - opts["x1bar"])),
+        np.max(np.abs(traj.x[:, 2] - opts["theta"])),
+        np.max(np.abs(traj.x[:, 3] - opts["phi"])),
     )
-    report.add_bound("component-drift", drift, float(opts["component_drift_tol"]))
+    report.add_bound("component-drift", drift, opts["component_drift_tol"])
     return report
 
 
@@ -365,11 +355,11 @@ def run_bondi(opts, outdir: Path) -> RunReport:
     from . import bondi as bd
 
     report = RunReport("bondi")
-    m = float(opts["mass"])
-    amp = float(opts["news_amplitude"])
-    center = float(opts["news_center"])
-    width = float(opts["news_width"])
-    u = np.linspace(float(opts["u_start"]), float(opts["u_end"]), int(opts["u_samples"]))
+    m = opts["mass"]
+    amp = opts["news_amplitude"]
+    center = opts["news_center"]
+    width = opts["news_width"]
+    u = np.linspace(opts["u_start"], opts["u_end"], opts["u_samples"])
 
     def profile(uu):
         uu = np.asarray(uu, dtype=float)
@@ -380,15 +370,13 @@ def run_bondi(opts, outdir: Path) -> RunReport:
         [(profile, bd.tensor_harmonic(2, 0))],
         (center - 10.0 * width, center + 10.0 * width),
     )
-    rep = bd.evolve_mass_aspect(
-        news, m, u, quad=(int(opts["quad_theta"]), int(opts["quad_phi"]))
-    )
+    rep = bd.evolve_mass_aspect(news, m, u, quad=(opts["quad_theta"], opts["quad_phi"]))
     emit_csv(
         ("u", "M_B", "E", "budget_residual"),
         list(zip(rep.u, rep.mass, rep.flux, rep.budget_residual)),
         outdir / "bondi_report.csv",
     )
-    report.add_bound("mass-loss-budget", np.max(rep.budget_residual), float(opts["budget_tol"]))
+    report.add_bound("mass-loss-budget", np.max(rep.budget_residual), opts["budget_tol"])
     report.add("initial-mass", m, rep.mass[0], 0.0)
     if amp == 0.0:
         report.add_bound("mass-constant", np.ptp(rep.mass), 0.0)
@@ -400,15 +388,15 @@ def run_verify_appendix(opts, outdir: Path) -> RunReport:
     from .metrics import manufactured_suite
 
     report = RunReport("verify-appendix")
-    m = float(opts["mass"])
+    m = opts["mass"]
     rows = []
     for h in manufactured_suite():
         results = excess_decay_slopes(
             h,
             m,
-            rho0=float(opts["rho0"]),
-            window=(float(opts["window_low"]), float(opts["window_high"])),
-            slack=float(opts["slack"]),
+            rho0=opts["rho0"],
+            window=(opts["window_low"], opts["window_high"]),
+            slack=opts["slack"],
         )
         for c in results:
             rows.append(
@@ -496,7 +484,8 @@ def _slice_config(raw: dict) -> dict:
     """Split a config for ``all`` by subcommand.
 
     ``model_pde.gamma`` goes to model-pde only, a bare key to every
-    subcommand whose schema has it; any other key is a config error.
+    subcommand whose schema has it; a prefixed key wins over a bare one
+    whatever the line order.  Any other key is a config error.
     """
     sections = {name.replace("-", "_"): name for name in SCHEMAS}
     out = {name: {} for name in SCHEMAS}
@@ -510,21 +499,21 @@ def _slice_config(raw: dict) -> dict:
         if not homes:
             unknown.append(key)
         for name in homes:
-            out[name][key] = value
+            out[name].setdefault(key, value)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     return out
 
 
-def _describe(key, required):
-    notes = [n for n in ("required" if required else "", KEYS.get(key, Key()).window()) if n]
+def _describe(key, rule):
+    notes = [n for n in ("required" if rule.default is None else "", rule.window()) if n]
     return f"{key} ({', '.join(notes)})" if notes else key
 
 
 def list_checks():
     lines = []
     for name, schema in SCHEMAS.items():
-        keys = ", ".join(_describe(k, v is None) for k, v in schema.items())
+        keys = ", ".join(_describe(k, rule) for k, rule in schema.items())
         lines.append(f"{name}: config keys: {keys}")
         rules = "; ".join(rule for rule, _ in RELATIONS.get(name, ()))
         if rules:

@@ -267,15 +267,11 @@ def newton_iterate(
     ratios against the final iterate.
     """
     data = [d or BoundaryData() for d in data]
-    zero = ModeSolution(grid, 0.0, np.zeros((len(grid.rho0), len(grid.rhoI))),
-                        np.zeros((len(grid.rho0), len(grid.rhoI))))
     iterates = []
-    prev = (zero, zero, zero)
     sup_history = []
 
-    def linearized(base, prev_sol, new_sol):
-        a_prev = prev_sol.d1()
-        a_new = new_sol.d1()
+    def linearized(base, a_prev, a_new):
+        """Source with the quadratic coupling frozen, from the derivatives d1 of the two solutions."""
         rho0 = grid.rho0[:, None]
         rhoI = grid.rhoI[None, :]
         table = (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI)
@@ -285,9 +281,17 @@ def newton_iterate(
         return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
 
     u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
+    a_u0 = u0.d1()
+    a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2    # d1 of the zero start
     for k in range(steps):
-        u1c = solve_wave_mode(grid, linearized(forcing[1], prev[0], u0), data[1])
-        u1 = solve_wave_mode(grid, linearized(forcing[2], prev[1], u1c), data[2])
+        u1c = solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0), data[1])
+        a_u1c = u1c.d1()
+        # each d1 is taken once; the old one and the source go as soon as they
+        # are used, so keeping d1 adds nothing to the peak memory of the marches
+        source = linearized(forcing[2], a_prev[1], a_u1c)
+        a_prev = (a_u0, a_u1c)
+        u1 = solve_wave_mode(grid, source, data[2])
+        del source
         current = (u0, u1c, u1)
         iterates.append(current)
         sup = max(float(np.max(np.abs(c.u))) for c in current)
@@ -296,7 +300,6 @@ def newton_iterate(
             sup_history[-i - 1] > sup_history[-i - 2] * (1.0 + 1e-9) for i in range(3)
         ):
             raise RuntimeError("iteration diverging: sup norm grew for 3 consecutive steps")
-        prev = current
 
     ref = iterates[-1]
     errors = []

@@ -50,44 +50,102 @@ def test_unreadable_config_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "subcommand, text",
-    [
-        ("geodesics", "mass = abc\n"),
-        ("geodesics", "mass = nan\n"),
-        ("geodesics", "mass = -inf\n"),
-        ("geodesics", "mass = 0.1\ns0 = twenty\n"),
-        ("model-pde", "points_per_decade = 16.5\n"),
-        ("bondi", "mass = 0.1\nu_samples = many\n"),
-        ("index-sets", "truncation = 1/0\n"),
-        ("verify-appendix", "mass = 0.1\nslack = NaN\n"),
-        ("all", "mass = 0.1\nbondi.budget_tol = 1e400\n"),
-        ("geodesics", "mass = -5\n"),
-        ("geodesics", "mass = 0.1\ns0 = -3\n"),
-        ("model-pde", "points_per_decade = 8\n"),
-        ("model-pde", "rho_min = 0\n"),
-        ("model-pde", "gamma = -1\n"),
-        ("bondi", "mass = 0.1\nu_samples = 1\n"),
-        ("bondi", "mass = 0.1\nquad_theta = 0\n"),
-        ("bondi", "mass = 0.1\nnews_width = 0\n"),
-        ("index-sets", "truncation = -1\n"),
-        ("verify-appendix", "mass = 0.1\nwindow_low = 0\n"),
-        ("verify-appendix", "mass = 0.1\nrho0 = 0\n"),
-        ("model-pde", "rho_min = 0.5\n"),
-        ("verify-appendix", "mass = 0.1\nwindow_low = 1e-2\nwindow_high = 1e-4\n"),
-        ("bondi", "mass = 0.1\nu_start = 8\nu_end = -18\n"),
-        ("bondi", "mass = 0.1\nu_start = -10\n"),
-        ("bondi", "mass = 0.1\nnews_width = 2\n"),
-        ("all", "mass = 0.1\nmodel_pde.eps = 1e-6\n"),
-        ("all", "mass = 0.1\nmodl_pde.gamma = 0.25\n"),
-        ("all", "mass = 0.1\nmas = 0.2\n"),
-    ],
-)
+#: every bad config, and the one stderr line it gets; {cfg} stands for the config path
+BAD_VALUES = {
+    ("geodesics", "mass = abc\n"):
+        "config error: geodesics: mass = 'abc' is not a number\n",
+    ("geodesics", "mass = nan\n"):
+        "config error: geodesics: mass = 'nan' is not finite\n",
+    ("geodesics", "mass = -inf\n"):
+        "config error: geodesics: mass = '-inf' is not finite\n",
+    ("geodesics", "mass = 0.1\ns0 = twenty\n"):
+        "config error: geodesics: s0 = 'twenty' is not a number\n",
+    ("model-pde", "points_per_decade = 16.5\n"):
+        "config error: model-pde: points_per_decade = '16.5' is not an integer\n",
+    ("bondi", "mass = 0.1\nu_samples = many\n"):
+        "config error: bondi: u_samples = 'many' is not an integer\n",
+    ("index-sets", "truncation = 1/0\n"):
+        "config error: index-sets: truncation = '1/0' is not a number\n",
+    ("verify-appendix", "mass = 0.1\nslack = NaN\n"):
+        "config error: verify-appendix: slack = 'NaN' is not finite\n",
+    ("all", "mass = 0.1\nbondi.budget_tol = 1e400\n"):
+        "config error: bondi: budget_tol = '1e400' is not finite\n",
+    ("geodesics", "mass = -5\n"):
+        "config error: geodesics: mass = '-5' is outside the window mass >= 0\n",
+    ("geodesics", "mass = 0.1\ns0 = -3\n"):
+        "config error: geodesics: s0 = '-3' is outside the window s0 > 0\n",
+    ("model-pde", "points_per_decade = 8\n"):
+        "config error: model-pde: points_per_decade = '8' is outside the window points_per_decade >= 16\n",
+    ("model-pde", "rho_min = 0\n"):
+        "config error: model-pde: rho_min = '0' is outside the window rho_min >= 1e-08\n",
+    ("model-pde", "gamma = -1\n"):
+        "config error: model-pde: gamma = '-1' is outside the window gamma >= 0\n",
+    ("bondi", "mass = 0.1\nu_samples = 1\n"):
+        "config error: bondi: u_samples = '1' is outside the window u_samples >= 2\n",
+    ("bondi", "mass = 0.1\nquad_theta = 0\n"):
+        "config error: bondi: quad_theta = '0' is outside the window quad_theta >= 1\n",
+    ("bondi", "mass = 0.1\nnews_width = 0\n"):
+        "config error: bondi: news_width = '0' is outside the window news_width > 0\n",
+    ("index-sets", "truncation = -1\n"):
+        "config error: index-sets: truncation = '-1' is outside the window truncation > 0\n",
+    ("verify-appendix", "mass = 0.1\nwindow_low = 0\n"):
+        "config error: verify-appendix: window_low = '0' is outside the window window_low > 0\n",
+    ("verify-appendix", "mass = 0.1\nrho0 = 0\n"):
+        "config error: verify-appendix: rho0 = '0' is outside the window rho0 > 0\n",
+    ("model-pde", "rho_min = 0.5\n"):
+        "config error: model-pde: need rho_min < eps; got rho_min = 0.5, eps = 0.1\n",
+    ("verify-appendix", "mass = 0.1\nwindow_low = 1e-2\nwindow_high = 1e-4\n"):
+        "config error: verify-appendix: need window_low < window_high; got window_low = 1e-2, window_high = 1e-4\n",
+    ("bondi", "mass = 0.1\nu_start = 8\nu_end = -18\n"):
+        "config error: bondi: need u_start < u_end; got u_start = 8, u_end = -18\n",
+    ("bondi", "mass = 0.1\nu_start = -10\n"):
+        "config error: bondi: need u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; got u_start = -10, news_center = -5.0, news_width = 1.0, u_end = 8.0\n",
+    ("bondi", "mass = 0.1\nnews_width = 2\n"):
+        "config error: bondi: need u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; got u_start = -18.0, news_center = -5.0, news_width = 2, u_end = 8.0\n",
+    ("all", "mass = 0.1\nmodel_pde.eps = 1e-6\n"):
+        "config error: model-pde: need rho_min < eps; got rho_min = 1e-5, eps = 1e-6\n",
+    ("all", "mass = 0.1\nmodl_pde.gamma = 0.25\n"):
+        "config error: unknown config key(s): modl_pde.gamma\n",
+    ("all", "mass = 0.1\nmas = 0.2\n"):
+        "config error: unknown config key(s): mas\n",
+    ("verify-appendix", "mass = 0.1\nwindow_high = 5\n"):
+        "config error: verify-appendix: need window_high < 1; got window_high = 5\n",
+    ("geodesics", "mass = 0.1\nmass = 0.2\n"):
+        "config error: {cfg}:2: repeated key mass\n",
+    ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
+        "config error: {cfg}:3: repeated key model_pde.gamma\n",
+}
+
+
+@pytest.mark.parametrize("subcommand, text", list(BAD_VALUES))
 def test_bad_numeric_value_exits_2(tmp_path, capsys, subcommand, text):
     cfg = write_config(tmp_path, text)
     assert cli.run(subcommand, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand, text", list(BAD_VALUES))
+def test_bad_value_message_is_pinned(tmp_path, capsys, subcommand, text):
+    cfg = write_config(tmp_path, text)
+    cli.run(subcommand, cfg, tmp_path / "out")
+    assert capsys.readouterr().err == BAD_VALUES[subcommand, text].replace("{cfg}", str(cfg))
+
+
+@pytest.mark.parametrize("first, second", [("bondi.mass = 0.3", "mass = 0.1"), ("mass = 0.1", "bondi.mass = 0.3")])
+def test_prefixed_key_wins_over_bare_key(tmp_path, first, second):
+    sliced = cli._slice_config(cli.parse_config(write_config(tmp_path, f"{first}\n{second}\n")))
+    assert sliced["bondi"] == {"mass": "0.3"}
+    assert sliced["geodesics"] == sliced["verify-appendix"] == {"mass": "0.1"}
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SCHEMAS))
+def test_defaults_lie_in_their_windows_and_relations(subcommand):
+    schema = cli.SCHEMAS[subcommand]
+    defaults = cli.resolve_options(subcommand, {k: "0.1" for k, key in schema.items() if key.default is None})
+    assert all(type(defaults[k]) is key.read for k, key in schema.items())
+    # each value read back from its text passes its window, and together they pass every relation
+    assert cli.resolve_options(subcommand, {k: str(v) for k, v in defaults.items()}) == defaults
 
 
 def test_solver_error_is_a_failing_report_row(tmp_path, capsys):
@@ -150,6 +208,22 @@ def test_list_checks():
     text = cli.list_checks()
     for name in ("index-sets", "model-pde", "geodesics", "bondi", "verify-appendix"):
         assert name in text
+
+
+LIST_CHECKS = (
+    "index-sets: config keys: truncation (> 0)\n"
+    "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
+    "model-pde: relations: rho_min < eps\n"
+    "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
+    "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
+    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end\n"
+    "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
+    "verify-appendix: relations: window_low < window_high; window_high < 1"
+)
+
+
+def test_list_checks_text_is_pinned():
+    assert cli.list_checks() == LIST_CHECKS
 
 
 def test_main_entry(tmp_path):
