@@ -27,7 +27,6 @@ cli
 __version__ = "0.1.0"
 
 from .compactify import (  # noqa: F401
-    MassParam,
     DoubleNullPoint,
     BoundaryTriple,
     tortoise,
@@ -53,6 +52,7 @@ from .indexsets import (  # noqa: F401
     transport_index_two_face,
 )
 from .metrics import MetricField, PerturbationField, Weights, perturbation, schwarzschild_exact  # noqa: F401
+from .leading_terms import excess_decay_slopes  # noqa: F401
 from .expansions import PolyhomExpansion, ProductExpansion  # noqa: F401
 from .modelpde import (  # noqa: F401
     BoundaryData,

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .compactify import inverse_tortoise
 from .geodesics import integrate_radial_null_geodesic
-from .leading_terms import _sphere_div_tensor, _sphere_div_vector
-from .metrics import PH, RHO0, RHOI, TH, ROUND_INV, ROUND_METRIC, MetricField, compile_fields
+from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, compile_fields, sphere_cov_vector,
+                      sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
 #: coefficient of |news|^2 in the retarded-time transport of the mass aspect;
@@ -60,7 +59,7 @@ class Congruence:
 
     def _radius_along(self):
         x = self.traj.x
-        return inverse_tortoise(0.5 * (x[..., 0] - x[..., 1]), self.metric.m)
+        return self.metric.radius(x[..., 0], x[..., 1])
 
     def affine_at_radius(self, r_coord):
         """Affine parameters where each congruence member crosses the radius."""
@@ -77,13 +76,12 @@ class Congruence:
                 f"[{r[:, 0].max():.3g}, {r[:, -1].min():.3g}]"
             )
         # secant refinement on the interpolated trajectory
-        m = self.metric.m
         lo, hi = self.traj.s[0], self.traj.s[-1]
         for _ in range(4):
             x_here, _ = self.traj.interpolate_per_member(out)
-            r_here = inverse_tortoise(0.5 * (x_here[:, 0] - x_here[:, 1]), m)
+            r_here = self.metric.radius(x_here[:, 0], x_here[:, 1])
             x_off, _ = self.traj.interpolate_per_member(out * (1.0 + 1e-6))
-            r_off = inverse_tortoise(0.5 * (x_off[:, 0] - x_off[:, 1]), m)
+            r_off = self.metric.radius(x_off[:, 0], x_off[:, 1])
             slope = (r_off - r_here) / (out * 1e-6)
             step = (r_coord - r_here) / slope
             out = np.clip(out + step, lo, hi)
@@ -262,21 +260,8 @@ def real_spherical_harmonic(ell, em):
 def tensor_harmonic(ell, em):
     """Trace-free symmetric spherical 2-tensor from a scalar harmonic."""
     Y = real_spherical_harmonic(ell, em)
-    coords = (TH, PH)
-    # second covariant derivative on the round sphere
-    from .leading_terms import _GHAT_GAMMA
-
-    DD = sp.zeros(2, 2)
-    dY = [sp.diff(Y, c) for c in coords]
-    for a in range(2):
-        for b in range(2):
-            e = sp.diff(dY[b], coords[a])
-            for c in range(2):
-                e -= _GHAT_GAMMA[(c, a, b)] * dY[c]
-            DD[a, b] = e
-    lap = sum(ROUND_INV[a, b] * DD[a, b] for a in range(2) for b in range(2))
-    E = DD - ROUND_METRIC * lap / 2
-    return sp.simplify(E)
+    hessian = sphere_cov_vector([sp.diff(Y, TH), sp.diff(Y, PH)])
+    return sp.simplify(hessian - ROUND_METRIC * sphere_trace(hessian) / 2)
 
 
 def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_log=False):
@@ -293,12 +278,11 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_lo
     E = tensor_harmonic(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
     hmat = A * E
-    divh = _sphere_div_tensor(hmat)
+    divh = sphere_div_tensor(hmat)
     h1b = [sp.simplify(divh[0] / 2), sp.simplify(divh[1] / 2)]
-    divdiv = sp.simplify(_sphere_div_vector(divh))
+    divdiv = sp.simplify(sphere_trace(sphere_cov_vector(divh)))
     dA = RHO0**2 * sp.diff(A, RHO0)
-    raised = ROUND_INV * E * ROUND_INV
-    e2 = sp.simplify(sum(raised[a, b] * E[a, b] for a in range(2) for b in range(2)))
+    e2 = sp.simplify(sphere_dot(E, E))
     h11 = sp.simplify(A * divdiv / 2 - A * dA * e2 / 2)
     log_coeff = 0
     if with_log:
@@ -325,19 +309,9 @@ class NewsTensor:
     def __post_init__(self):
         mats = [m for _, m in self.modes]
         for E in mats:
-            if sp.simplify(_round_trace(E)) != 0:
+            if sp.simplify(sphere_trace(E)) != 0:
                 raise ValueError("news angular part is not trace-free")
-        pairs = [
-            sum(
-                ROUND_INV[a, c] * ROUND_INV[b, d_] * Ek[a, b] * El[c, d_]
-                for a in range(2)
-                for b in range(2)
-                for c in range(2)
-                for d_ in range(2)
-            )
-            for Ek in mats
-            for El in mats
-        ]
+        pairs = [sphere_dot(Ek, El) for Ek in mats for El in mats]
         # angular columns: Ek.El for every pair (k, l), row-major in k
         self._pairs = compile_fields((TH, PH), pairs)
         self._divdiv = compile_fields((TH, PH), [_double_divergence(E) for E in mats])
@@ -355,18 +329,13 @@ class NewsTensor:
         return out
 
     def trace_residual(self, theta, phi):
-        traces = compile_fields((TH, PH), [_round_trace(E) for _, E in self.modes])(theta, phi)
+        traces = compile_fields((TH, PH), [sphere_trace(E) for _, E in self.modes])(theta, phi)
         return float(np.max(np.abs(traces)))
-
-
-def _round_trace(E):
-    return sum(ROUND_INV[a, b] * E[a, b] for a in range(2) for b in range(2))
 
 
 def _double_divergence(mat):
     """nabla^a nabla^b T_ab on the round sphere, symbolic."""
-    div1 = _sphere_div_tensor(mat)          # covariant vector (index down)
-    return sp.simplify(_sphere_div_vector(div1))
+    return sphere_trace(sphere_cov_vector(sphere_div_tensor(mat)))
 
 
 @dataclass

@@ -55,7 +55,11 @@ class RunReport:
         self.checks: list[Check] = []
 
     def add(self, name, expected, got, tolerance):
+        """Check ``got`` against ``expected``; a value that could not be computed (None) fails as ``none``."""
         expected_f = float(expected)
+        if got is None:
+            self.checks.append(Check(name, expected_f, "none", tolerance, False))
+            return False
         got_f = float(got)
         passed = abs(got_f - expected_f) <= tolerance
         self.checks.append(Check(name, expected_f, got_f, tolerance, passed))
@@ -191,6 +195,8 @@ RELATIONS = {
         ("window_low < window_high", lambda v: v["window_low"] < v["window_high"]),
         # the decay fit takes log(-log rhoI)
         ("window_high < 1", lambda v: v["window_high"] < 1.0),
+        # the compiled fields take 1/r**4 at radii up to r = 1/(rho0 window_low)
+        ("rho0 * window_low >= 1e-60", lambda v: v["rho0"] * v["window_low"] >= 1e-60),
     ],
 }
 

@@ -22,17 +22,11 @@ from .indexsets import elog
 EPSILON0 = 0.1
 
 
-@dataclass(frozen=True)
-class MassParam:
-    m: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValueError("mass must be finite")
-
-
 def _mass(m) -> float:
-    return m.m if isinstance(m, MassParam) else MassParam(float(m)).m
+    m = float(m)
+    if not math.isfinite(m):
+        raise ValueError("mass must be finite")
+    return m
 
 
 def smoothstep(x):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactify import inverse_tortoise
 from .metrics import MetricField, schwarzschild_exact
 from . import tensors
 
@@ -40,7 +39,7 @@ def _cumulative_simpson(H, h):
 def _christoffel_at(metric: MetricField, x):
     """Connection coefficients along sampled points; closed form when unperturbed."""
     if metric.h is None:
-        r = inverse_tortoise(0.5 * (x[..., 0] - x[..., 1]), metric.m)
+        r = metric.radius(x[..., 0], x[..., 1])
         return schwarzschild_exact(r.ravel(), x[..., 2].ravel(), metric.m).gamma.reshape(
             x.shape[:-1] + (4, 4, 4)
         )

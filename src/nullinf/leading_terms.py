@@ -16,57 +16,9 @@ import numpy as np
 import sympy as sp
 
 from .compactify import _mass, tortoise
-from .metrics import (PH, Q, RR, S, TH, ROUND_INV, ROUND_METRIC, MetricField, PerturbationField, Weights,
-                      _diff_ops, compile_fields)
+from .metrics import (PH, Q, RR, S, TH, ROUND_METRIC, MetricField, PerturbationField, Weights, _diff_ops,
+                      compile_fields, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
-
-
-#: Christoffel symbols Gamma^c_ab of the round metric on (theta, phi), keyed (c, a, b)
-_GHAT_GAMMA = {(c, a, b): sp.S.Zero for c in range(2) for a in range(2) for b in range(2)}
-_GHAT_GAMMA[(0, 1, 1)] = -sp.sin(2 * TH) / 2
-_GHAT_GAMMA[(1, 0, 1)] = _GHAT_GAMMA[(1, 1, 0)] = 1 / sp.tan(TH)
-
-
-def _sphere_cov_vector(v):
-    """nabla_a v_b on the sphere for a covariant vector (v_theta, v_phi)."""
-    coords = (TH, PH)
-    out = {}
-    for a in range(2):
-        for b in range(2):
-            e = sp.diff(v[b], coords[a])
-            for c in range(2):
-                e -= _GHAT_GAMMA[(c, a, b)] * v[c]
-            out[(a, b)] = e
-    return out
-
-
-def _sphere_div_vector(v):
-    """nabla_a v^a for a covariant vector, indices raised with the round metric."""
-    cov = _sphere_cov_vector(v)
-    return sum(ROUND_INV[a, b] * cov[(a, b)] for a in range(2) for b in range(2))
-
-
-def _sphere_cov_tensor(hmat):
-    coords = (TH, PH)
-    out = {}
-    for e_ in range(2):
-        for c in range(2):
-            for d in range(2):
-                expr = sp.diff(hmat[c, d], coords[e_])
-                for f in range(2):
-                    expr -= _GHAT_GAMMA[(f, e_, c)] * hmat[f, d]
-                    expr -= _GHAT_GAMMA[(f, e_, d)] * hmat[c, f]
-                out[(e_, c, d)] = expr
-    return out
-
-
-def _sphere_div_tensor(hmat):
-    """(div h)_c = nabla^d h_{c d} for a symmetric spherical 2-tensor."""
-    cov = _sphere_cov_tensor(hmat)
-    return [
-        sum(ROUND_INV[d, e_] * cov[(e_, c, d)] for d in range(2) for e_ in range(2))
-        for c in range(2)
-    ]
 
 
 @dataclass(frozen=True)
@@ -83,20 +35,18 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
     """Symbolic leading parts, keyed by line id, in (r, q, s, theta, phi)."""
     m = _mass(m)
     D = _diff_ops(m)
-    hq = h.qs_exprs(m)
+    hq = h.qs_exprs()
     h00, h01, h11 = hq["00"], hq["01"], hq["11"]
     h0b = [hq["02"], hq["03"]]
     h1b = [hq["12"], hq["13"]]
     hmat = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])
     r = RR
     d0, d1 = D[0], D[1]
-    trh = sum(ROUND_INV[a, b] * hmat[a, b] for a in range(2) for b in range(2))
-    raised = ROUND_INV * hmat * ROUND_INV           # h^{ab}
-    h1_up = [sum(ROUND_INV[c, d] * h1b[d] for d in range(2)) for c in range(2)]
-    div_h1 = _sphere_div_vector(h1b)                 # nabla^d h_{1 d} (scalar)
-    div_hb = _sphere_div_tensor(hmat)                # nabla^d h_{c d}
+    trh = sphere_trace(hmat)
+    cov_h1 = sphere_cov_vector(h1b)                 # nabla_c h_{1 d}
+    div_h1 = sphere_trace(cov_h1)                   # nabla^d h_{1 d} (scalar)
+    div_hb = sphere_div_tensor(hmat)                # nabla^d h_{c d}
     d1_hmat = hmat.applyfunc(d1)
-    quad = sum(raised[a, b] * d1_hmat[a, b] for a in range(2) for b in range(2))
 
     bI, bIp = w.bI, w.bI_prime
     lines = {}
@@ -120,7 +70,7 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
     add(
         "Gamma^0_11", "gamma", (0, 1, 1),
         d1(h11) / r + h11 / (2 * r**2) + 2 * (m - h01) * d1(h11) / r**2
-        - 4 * h11 * d1(h01) / r**2 + 2 * sum(h1_up[d] * d1(h1b[d]) for d in range(2)) / r**2,
+        - 4 * h11 * d1(h01) / r**2 + 2 * sphere_dot(h1b, [d1(v) for v in h1b]) / r**2,
         3.0, log_loss=True,
     )
     add(
@@ -137,12 +87,11 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
         "Gamma^1_ab", "gamma", (1, 2, 2),
         (r - 2 * h01) * ROUND_METRIC[0, 0] - hq["22"] / 2, bI,
     )
-    cov_h1 = _sphere_cov_vector(h1b)
     add(
         "Gamma^0_ab", "gamma", (0, 2, 2),
         (-r + 2 * h01 - 2 * h11) * ROUND_METRIC[0, 0]
         - (r + 2 * m - 2 * h01) * d1(hmat[0, 0])
-        + 2 * cov_h1[(0, 0)] + hmat[0, 0] / 2,
+        + 2 * cov_h1[0, 0] + hmat[0, 0] / 2,
         1.0, log_loss=True,
     )
 
@@ -150,7 +99,7 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
     add(
         "Upsilon_1", "upsilon", (1,),
         d1(trh) / (2 * r) + (h11 - 2 * h01) / r**2 - div_h1 / r**2
-        + 2 * d0(h11) / r + quad / (2 * r**2),
+        + 2 * d0(h11) / r + sphere_dot(hmat, d1_hmat) / (2 * r**2),
         2 + bIp, log_loss=True,
     )
     add(
@@ -163,15 +112,10 @@ def _leading_exprs(h: PerturbationField, m, w: Weights):
         "Ric_01", "ricci", (0, 1),
         d1(d1(h00)) / r + d1(h01) / r**2, 2 + bI,
     )
-    quad2 = sum(raised[a, b] * d1(d1_hmat[a, b]) for a in range(2) for b in range(2))
-    d1quad = sum(
-        ROUND_INV[a, c] * ROUND_INV[b, d] * d1_hmat[c, d] * d1_hmat[a, b]
-        for a in range(2) for b in range(2) for c in range(2) for d in range(2)
-    )
     add(
         "Ric_11", "ricci", (1, 1),
-        d1(d1(trh)) / (2 * r) - d1(div_h1) / r**2 + quad2 / (2 * r**2)
-        + (d1(h11) - 2 * d1(h01)) / r**2 + d1quad / (4 * r**2),
+        d1(d1(trh)) / (2 * r) - d1(div_h1) / r**2 + sphere_dot(hmat, d1_hmat.applyfunc(d1)) / (2 * r**2)
+        + (d1(h11) - 2 * d1(h01)) / r**2 + sphere_dot(d1_hmat, d1_hmat) / (4 * r**2),
         2 + bI,
     )
     add(

@@ -7,7 +7,9 @@ dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  The component
 values and their first and second coordinate derivatives share one
 common-subexpression pass; the components with their first derivatives are
 compiled to a vectorized numpy callable with the field, the second
-derivatives on their first use.
+derivatives on their first use.  The symbolic calculus of the round sphere
+(trace, index raising, contraction, covariant derivative and divergence)
+is written here once for every module that builds angular expressions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,50 @@ _IDX = {(0, 0): "00", (0, 1): "01", (0, 2): "02", (0, 3): "03",
 
 ROUND_METRIC = sp.Matrix([[1, 0], [0, sp.sin(TH) ** 2]])
 ROUND_INV = sp.Matrix([[1, 0], [0, 1 / sp.sin(TH) ** 2]])
+
+
+# -- calculus on the round sphere ---------------------------------------------
+
+_ANGLES = (TH, PH)
+#: Christoffel symbols Gamma^c_ab of the round metric on (theta, phi), keyed (c, a, b)
+_GHAT_GAMMA = {(c, a, b): sp.S.Zero for c in range(2) for a in range(2) for b in range(2)}
+_GHAT_GAMMA[(0, 1, 1)] = -sp.sin(2 * TH) / 2
+_GHAT_GAMMA[(1, 0, 1)] = _GHAT_GAMMA[(1, 1, 0)] = 1 / sp.tan(TH)
+
+
+def sphere_trace(t):
+    """ghat^{ab} T_ab of a spherical 2-tensor indexed ``t[a, b]``."""
+    return sum(ROUND_INV[a, b] * t[a, b] for a in range(2) for b in range(2))
+
+
+def sphere_raise(t):
+    """Indices raised with the round metric: v^a of a covector, T^{ab} of a 2x2 tensor."""
+    t = sp.Matrix(t)
+    return ROUND_INV * t * ROUND_INV if t.shape == (2, 2) else ROUND_INV * t
+
+
+def sphere_dot(a, b):
+    """Full contraction A^{..} B_{..} of two covectors or of two 2x2 tensors."""
+    return sum(x * y for x, y in zip(sphere_raise(a), b))
+
+
+def sphere_cov_vector(v):
+    """nabla_a v_b of a covector (v_theta, v_phi), as a 2x2 matrix."""
+    return sp.Matrix([[sp.diff(v[b], _ANGLES[a]) - sum(_GHAT_GAMMA[c, a, b] * v[c] for c in range(2))
+                       for b in range(2)] for a in range(2)])
+
+
+def sphere_div_tensor(t):
+    """(div T)_c = nabla^d T_cd of a symmetric spherical 2-tensor, as a covector."""
+
+    def cov(e, c, d):   # nabla_e T_cd
+        expr = sp.diff(t[c, d], _ANGLES[e])
+        for f in range(2):
+            expr -= _GHAT_GAMMA[f, e, c] * t[f, d]
+            expr -= _GHAT_GAMMA[f, e, d] * t[c, f]
+        return expr
+
+    return [sphere_trace(sp.Matrix([[cov(e, c, d) for e in range(2)] for d in range(2)])) for c in range(2)]
 
 
 def _diff_ops(m):
@@ -136,9 +182,8 @@ class PerturbationField:
     def expr(self, key):
         return sp.sympify(self.comps.get(key, 0))
 
-    def qs_exprs(self, m):
+    def qs_exprs(self):
         """Barred components as expressions in (r, q, s, theta, phi)."""
-        m = _mass(m)
         subs = {RHO0: -1 / S, RHOI: -S / RR}
         return {k: self.expr(k).subs(subs) for k in _COMP_KEYS}
 
@@ -213,7 +258,7 @@ class MetricEval:
         """(N, 4, 4, 4, 4), index order (kappa, lambda, mu, nu)"""
         return _gather(self.second.rows(self.r, self.q, self.s, self.theta, self.phi), _D2G_ROWS)
 
-    @property
+    @cached_property
     def ginv(self):
         return np.linalg.inv(self.g)
 
@@ -230,7 +275,7 @@ class MetricField:
         m = self.m
         gh = {k: sp.Integer(0) for k in _COMP_KEYS}
         if self.h is not None:
-            gh = self.h.qs_exprs(m)
+            gh = self.h.qs_exprs()
         g = {}
         g["00"] = gh["00"] / RR
         g["01"] = (1 - 2 * m / RR) / 2 + gh["01"] / RR

@@ -427,15 +427,14 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     import sympy as sp
 
     from .compactify import _mass, inverse_tortoise
-    from .metrics import PH, Q, RR, S, TH, ROUND_INV, _diff_ops, compile_fields
+    from .metrics import PH, Q, RR, S, TH, _diff_ops, compile_fields, sphere_raise
 
     m = _mass(m)
     D = _diff_ops(m)
-    hq = h.qs_exprs(m)
+    hq = h.qs_exprs()
     d1 = D[1]
-    h_up = ROUND_INV * sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]]) * ROUND_INV
-    raised_rep = h_up[0, 0]
-    vec_rep = sum(ROUND_INV[0, b] * hq[("12", "13")[b]] for b in range(2))
+    raised_rep = sphere_raise([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])[0, 0]
+    vec_rep = sphere_raise([hq["12"], hq["13"]])[0]
 
     A = [[sp.Integer(0)] * 7 for _ in range(7)]
     B = [[sp.Integer(0)] * 7 for _ in range(7)]

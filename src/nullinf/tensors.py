@@ -15,38 +15,36 @@ import numpy as np
 import sympy as sp
 
 from .compactify import _mass, inverse_tortoise
-from .metrics import (PH, Q, RR, S, TH, ROUND_INV, MetricEval, MetricField, PerturbationField,
-                      _diff_ops, compile_fields)
+from .metrics import (PH, Q, RR, S, TH, MetricEval, MetricField, PerturbationField, _diff_ops,
+                      compile_fields, sphere_dot)
 
 
 # -- connection and curvature ----------------------------------------------
 
 
-def christoffel(ev: MetricEval) -> np.ndarray:
-    """Gamma^kappa_{mu nu} from the metric and its first derivatives."""
-    ginv = ev.ginv
-    dg = ev.dg
-    first = 0.5 * (
+def _first_kind(dg):
+    """(d_m g_kn + d_n g_km - d_k g_mn) / 2, indexed [..., k, m, n].
+
+    ``dg`` is indexed [..., derivative, m, n]; leading axes ride along, so
+    the same combination of d2g is the derivative of the first one.
+    """
+    return 0.5 * (
         np.einsum("...mkn->...kmn", dg)
         + np.einsum("...nkm->...kmn", dg)
         - np.einsum("...kmn->...kmn", dg)
     )
-    return np.einsum("...lk,...kmn->...lmn", ginv, first)
+
+
+def christoffel(ev: MetricEval) -> np.ndarray:
+    """Gamma^kappa_{mu nu} from the metric and its first derivatives."""
+    return np.einsum("...lk,...kmn->...lmn", ev.ginv, _first_kind(ev.dg))
 
 
 def _dchristoffel(ev: MetricEval):
     ginv = ev.ginv
-    dg, d2g = ev.dg, ev.d2g
-    first = 0.5 * (
-        np.einsum("...mkn->...kmn", dg)
-        + np.einsum("...nkm->...kmn", dg)
-        - np.einsum("...kmn->...kmn", dg)
-    )
-    dfirst = 0.5 * (
-        np.einsum("...smkn->...skmn", d2g)
-        + np.einsum("...snkm->...skmn", d2g)
-        - np.einsum("...skmn->...skmn", d2g)
-    )
+    dg = ev.dg
+    first = _first_kind(dg)
+    dfirst = _first_kind(ev.d2g)    # [..., s, k, m, n]
     dginv = -np.einsum("...ma,...sab,...bn->...smn", ginv, dg, ginv)
     gamma = np.einsum("...lk,...kmn->...lmn", ginv, first)
     dgamma = np.einsum("...slk,...kmn->...slmn", dginv, first) + np.einsum(
@@ -367,13 +365,10 @@ def gauged_residual_11(h: PerturbationField, m, q, s, theta, phi):
     """
     m = _mass(m)
     D = _diff_ops(m)
-    hq = h.qs_exprs(m)
+    hq = h.qs_exprs()
     t1 = -2 * RR**2 * D[1](D[0](hq["11"]))
-    hmat = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])
-    d1h = hmat.applyfunc(D[1])
-    raised = ROUND_INV * d1h * ROUND_INV
-    quad = sum(raised[i, j] * d1h[i, j] for i in range(2) for j in range(2))
-    t2 = -sp.Rational(1, 4) * RR * quad
+    d1h = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]]).applyfunc(D[1])
+    t2 = -sp.Rational(1, 4) * RR * sphere_dot(d1h, d1h)
     fn = compile_fields((RR, Q, S, TH, PH), [t1, t2])
     q, s, theta, phi = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))

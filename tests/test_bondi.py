@@ -7,7 +7,7 @@ import sympy as sp
 
 from nullinf import bondi as bd
 from nullinf.compactify import BoundaryTriple, null_frame_coefficients
-from nullinf.metrics import PH, RHO0, TH, ROUND_INV, MetricField
+from nullinf.metrics import PH, RHO0, TH, ROUND_INV, MetricField, compile_fields
 
 warnings.filterwarnings("ignore", message="tail truncation")
 
@@ -241,6 +241,17 @@ def test_mass_aspect_pointwise_vs_mean():
 
 
 # -- boundary data mass -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ell, em", [(2, 0), (2, 1)])
+def test_double_divergence_of_tensor_harmonic_closed_form(ell, em):
+    # nabla^a nabla^b (nabla_a nabla_b Y - ghat_ab Lap Y / 2) = (L^2 / 2 - L) Y with L = l (l + 1)
+    big_l = ell * (ell + 1)
+    th, ph, _ = bd.sphere_quadrature(16, 24)
+    divdiv, y = compile_fields(
+        (TH, PH), [bd._double_divergence(bd.tensor_harmonic(ell, em)), bd.real_spherical_harmonic(ell, em)]
+    )(th, ph).T
+    assert np.max(np.abs(divdiv - (big_l**2 / 2 - big_l) * y)) < 1e-12
 
 
 def test_bondi_mass_trivial_data():

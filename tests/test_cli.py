@@ -1,12 +1,17 @@
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nullinf import cli
 
-REFERENCE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli_all.sha256.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE_HASHES = PERFBENCH / "reference" / "cli_all.sha256.json"
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -110,6 +115,10 @@ BAD_VALUES = {
         "config error: unknown config key(s): mas\n",
     ("verify-appendix", "mass = 0.1\nwindow_high = 5\n"):
         "config error: verify-appendix: need window_high < 1; got window_high = 5\n",
+    ("verify-appendix", "mass = 0.1\nwindow_low = 1e-80\n"):
+        "config error: verify-appendix: need rho0 * window_low >= 1e-60; got rho0 = 0.1, window_low = 1e-80\n",
+    ("verify-appendix", "mass = 0.1\nrho0 = 1e-80\n"):
+        "config error: verify-appendix: need rho0 * window_low >= 1e-60; got rho0 = 1e-80, window_low = 0.0001\n",
     ("geodesics", "mass = 0.1\nmass = 0.2\n"):
         "config error: {cfg}:2: repeated key mass\n",
     ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
@@ -198,6 +207,18 @@ def test_model_pde_subcommand(tmp_path):
     assert header == "rho0,rhoI,l,component,value"
 
 
+@pytest.mark.parametrize("text", ["forcing_amplitude = 0\n", "forcing_center = 10\n"])
+def test_model_pde_without_fitted_exponent_is_a_failing_row(tmp_path, capsys, text):
+    # a forcing that vanishes on the grid leaves no remainder to fit an exponent to
+    out = tmp_path / "out"
+    assert cli.run("model-pde", write_config(tmp_path, text), out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[model-pde] FAIL decay-exponent: got none (expected 0.5 +- 0.05)" in captured.out
+    row = (out / "report_model-pde.csv").read_text().splitlines()[1]
+    assert row.startswith("decay-exponent,0.5,none,") and row.endswith(",fail")
+
+
 def test_failed_check_exits_1(tmp_path):
     # a zero tolerance cannot pass against the fitted exponent
     cfg = write_config(tmp_path, "gamma = 0.5\nexponent_rel_tol = 0\n")
@@ -218,7 +239,7 @@ LIST_CHECKS = (
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
     "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
-    "verify-appendix: relations: window_low < window_high; window_high < 1"
+    "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60"
 )
 
 
@@ -243,3 +264,27 @@ def test_all_is_union_of_subcommands(tmp_path):
     want = json.loads(REFERENCE_HASHES.read_text())
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_all.iterdir()}
     assert len(want) == 25 and got == want
+
+
+def test_perfbench_trace_entry_points_resolve():
+    # perfbench/tracer.py wraps each (module, attribute path) of its ENTRY_POINTS after a
+    # fresh `import nullinf.cli`: each module must be in sys.modules by then, and a method
+    # is looked up in its class __dict__.  The table is read with ast, so nothing under
+    # perfbench/ is imported or written.
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ENTRY_POINTS"])
+    points = [(entry.elts[0].value, entry.elts[1].value) for entry in table.elts]
+    assert points
+    script = (
+        "import sys, nullinf.cli\n"
+        f"for module, path in {points!r}:\n"
+        "    owner = sys.modules['nullinf.' + module]\n"
+        "    *outer, attr = path.split('.')\n"
+        "    for part in outer:\n"
+        "        owner = getattr(owner, part)\n"
+        "    owner.__dict__[attr]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -391,7 +391,7 @@ def test_christoffel_sqrt_perturbation_line():
 
 
 def test_round_sphere_christoffel_literal_matches_derivation():
-    from nullinf.leading_terms import _GHAT_GAMMA
+    from nullinf.metrics import _GHAT_GAMMA
 
     coords = (TH, PH)
     for (c, a, b), literal in _GHAT_GAMMA.items():
