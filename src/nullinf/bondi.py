@@ -16,8 +16,8 @@ import numpy as np
 import sympy as sp
 
 from .geodesics import integrate_radial_null_geodesic
-from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, compile_fields, sphere_cov_vector,
-                      sphere_div_tensor, sphere_dot, sphere_trace)
+from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, compile_fields, round_metric,
+                      sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
 #: coefficient of |news|^2 in the retarded-time transport of the mass aspect;
@@ -100,26 +100,16 @@ class Congruence:
 
         Pc = P[:, _CENTER, :]
         L = V[:, _CENTER, :]
-        T_th = (P[:, 7, :] - P[:, 1, :]) / (2 * d)
-        T_ph = (P[:, 5, :] - P[:, 3, :]) / (2 * d)
-        D = {
-            (0, 0): (P[:, 7, :] - 2 * Pc + P[:, 1, :]) / d**2,
-            (1, 1): (P[:, 5, :] - 2 * Pc + P[:, 3, :]) / d**2,
-            (0, 1): (P[:, 8, :] - P[:, 6, :] - P[:, 2, :] + P[:, 0, :]) / (4 * d**2),
-        }
-        D[(1, 0)] = D[(0, 1)]
+        T = np.stack([P[:, 7] - P[:, 1], P[:, 5] - P[:, 3]], axis=1) / (2 * d)  # (n, 2, 4)
+        # second differences of the embedding, d_a d_b x
+        D = np.empty((n, 2, 2, 4))
+        D[:, 0, 0] = (P[:, 7] - 2 * Pc + P[:, 1]) / d**2
+        D[:, 1, 1] = (P[:, 5] - 2 * Pc + P[:, 3]) / d**2
+        D[:, 0, 1] = D[:, 1, 0] = (P[:, 8] - P[:, 6] - P[:, 2] + P[:, 0]) / (4 * d**2)
 
         ev = self.metric.at(Pc[:, 0], Pc[:, 1], Pc[:, 2], Pc[:, 3])
-        gam = tensors.christoffel(ev)
         g = ev.g
-        T = np.stack([T_th, T_ph], axis=1)  # (n, 2, 4)
-
-        cov = np.empty((self.n, 2, 2, 4))
-        for a in range(2):
-            for b in range(2):
-                cov[:, a, b, :] = D[(a, b)] + np.einsum(
-                    "nkmu,nm,nu->nk", gam, T[:, a, :], T[:, b, :]
-                )
+        cov = D + np.einsum("nkmu,nam,nbu->nabk", tensors.christoffel(ev), T, T)
 
         return SphereCut(self, s_star[_CENTER::9], Pc, L, T, cov, g)
 
@@ -139,26 +129,15 @@ class SphereCut:
 
     def conjugate_normal(self):
         """The unique future null normal with g(L, Lbar) = 2."""
-        n = self.points.shape[0]
-        Lbar = np.empty((n, 4))
-        for i in range(n):
-            gi = self.g[i]
-            A = np.stack(
-                [
-                    self.T[i, 0] @ gi,
-                    self.T[i, 1] @ gi,
-                    self.L[i] @ gi,
-                ]
-            )
-            rhs = np.array([0.0, 0.0, 2.0])
-            sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            if abs(self.L[i] @ gi @ sol - 2.0) > 1e-6:
-                raise ValueError("degenerate cut: cannot normalize the conjugate normal")
-            # one-parameter family sol + t L; fix t by the null condition
-            norm = sol @ gi @ sol
-            t = -norm / 4.0
-            Lbar[i] = sol + t * self.L[i]
-        return Lbar
+        # rows g(T_1, .), g(T_2, .), g(L, .) of each point's normal system
+        A = np.einsum("nam,nmk->nak", np.concatenate([self.T, self.L[:, None]], axis=1), self.g)
+        # minimum-norm solutions of A sol = (0, 0, 2), all points at once
+        sol = np.linalg.pinv(A)[..., 2] * 2.0
+        if np.any(np.abs(np.einsum("nk,nk->n", A[:, 2], sol) - 2.0) > 1e-6):
+            raise ValueError("degenerate cut: cannot normalize the conjugate normal")
+        # one-parameter family sol + t L; fix t by the null condition
+        t = -np.einsum("nm,nmk,nk->n", sol, self.g, sol) / 4.0
+        return sol + t[:, None] * self.L
 
     def second_fundamental_forms(self):
         """(tr chi, chihat, tr chibar, chibarhat, induced metric)."""
@@ -188,44 +167,22 @@ def area_radius(cut: SphereCut):
     s_members = np.repeat(cut.s_star, 9)
     xc, _ = con.traj.interpolate_per_member(s_members)
     xc = xc.reshape(n, 9, 4)
-    cols = {
-        "th": (xc[:, 7, :] - xc[:, 1, :]) / (2 * d),
-        "ph": (xc[:, 5, :] - xc[:, 3, :]) / (2 * d),
-    }
-    Js = cut.L  # d x / d s
+    # columns d_theta x, d_phi x and d_s x (= L) of each point's (4, 3) embedding Jacobian
+    J = np.stack([(xc[:, 7] - xc[:, 1]) / (2 * d), (xc[:, 5] - xc[:, 3]) / (2 * d), cut.L], axis=-1)
 
-    rout = np.empty(n)
-    ghat = np.zeros((2, 2))
-    for i in range(n):
-        th = cut.points[i, 2]
-        ghat[0, 0] = 1.0
-        ghat[1, 1] = math.sin(th) ** 2
-        gi = cut.g[i]
-        va = np.zeros((2, 4))
-        for a, coord in enumerate((2, 3)):
-            e = np.zeros(4)
-            e[coord] = 1.0
-            gv = cut.L[i] @ gi
-            f_a = -(gv @ e) / gv[1]
-            va[a] = e
-            va[a, 1] += f_a
-        J = np.stack([cols["th"][i], cols["ph"][i], Js[i]], axis=1)  # (4,3)
-        gmat = np.empty((2, 2))
-        pg = np.empty((2, 2))
-        dpi = np.empty((2, 2))
-        for a in range(2):
-            c, *_ = np.linalg.lstsq(J, va[a], rcond=None)
-            dpi[a] = c[:2]
-        for a in range(2):
-            for b in range(2):
-                gmat[a, b] = va[a] @ gi @ va[b]
-                pg[a, b] = dpi[a] @ ghat @ dpi[b]
-        M = np.linalg.solve(pg, gmat)
-        det = np.linalg.det(M)
-        if det <= 0:
-            raise ValueError("degenerate sphere: non-positive area determinant")
-        rout[i] = det**0.25
-    return rout
+    # tangents e_a + f_a d_1, with f_a making them orthogonal to the generator
+    gv = np.einsum("nk,nkm->nm", cut.L, cut.g)
+    va = np.zeros((n, 2, 4))
+    va[:, 0, 2] = va[:, 1, 3] = 1.0
+    va[:, :, 1] = -gv[:, 2:] / gv[:, 1:2]
+    # angular parts of the least-squares solutions J c = v_a, all points at once
+    dpi = np.einsum("nck,nak->nac", np.linalg.pinv(J), va)[..., :2]
+    gmat = np.einsum("nam,nmk,nbk->nab", va, cut.g, va)
+    pg = np.einsum("nac,ncd,nbd->nab", dpi, round_metric(cut.points[:, 2]), dpi)
+    det = np.linalg.det(np.linalg.solve(pg, gmat))
+    if np.any(det <= 0):
+        raise ValueError("degenerate sphere: non-positive area determinant")
+    return det**0.25
 
 
 def hawking_mass(metric: MetricField, u, r_coord, quad=(24, 48)):
@@ -349,6 +306,14 @@ class BondiReport:
     phi: np.ndarray
 
 
+def _cumulative_trapezoid(f, u):
+    """Running trapezoid integral of ``f`` over ``u`` along the first axis, zero at u[0]."""
+    du = np.diff(u).reshape((-1,) + (1,) * (f.ndim - 1))
+    out = np.zeros_like(f)
+    out[1:] = np.cumsum(0.5 * du * (f[1:] + f[:-1]), axis=0)
+    return out
+
+
 def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiReport:
     """Integrate the leading (1,1) transport law through the news flux.
 
@@ -361,26 +326,18 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
         raise ValueError("news support must lie inside the retarded-time grid")
     th, ph, w = sphere_quadrature(*quad)
     n2 = news.squared_norm(u, th, ph)
-
-    mu = np.zeros_like(n2)
-    du = np.diff(u)
-    integrand = -MASS_ASPECT_FLUX_COEFF * n2
-    mu[1:] = np.cumsum(0.5 * du[:, None] * (integrand[1:] + integrand[:-1]), axis=0)
+    mu = _cumulative_trapezoid(-MASS_ASPECT_FLUX_COEFF * n2, u)
 
     # divergence part of the aspect: -1/4 nabla nabla integral of the news
     aspect = m + mu
-    amps = [np.asarray(p(u), dtype=float) for p, _ in news.modes]
     angs = news._divdiv(th, ph)
-    for k in range(len(news.modes)):
-        cum = np.zeros(len(u))
-        cum[1:] = np.cumsum(0.5 * du * (amps[k][1:] + amps[k][:-1]))
+    for k, (p, _) in enumerate(news.modes):
+        cum = _cumulative_trapezoid(np.asarray(p(u), dtype=float), u)
         aspect = aspect - 0.25 * np.outer(cum, angs[..., k])
 
     mass = m + (0.25 / math.pi) * (mu @ w)
     flux = (n2 @ w) / (32.0 * math.pi)
-    cum_flux = np.zeros(len(u))
-    cum_flux[1:] = np.cumsum(0.5 * du * (flux[1:] + flux[:-1]))
-    budget = np.abs(mass - mass[0] + cum_flux)
+    budget = np.abs(mass - mass[0] + _cumulative_trapezoid(flux, u))
     return BondiReport(u, mass, flux, budget, aspect, th, ph)
 
 
@@ -431,9 +388,7 @@ def scattering_operator_residual(ell, R, h=1e-3):
         return scattering_solution(ell, RR_)
 
     R = float(R)
-    pts = np.array([-2, -1, 1, 2]) * h + R
     u0 = u(R)
-    up = u(pts)
 
     def flux(RR_):
         # R^2 (1 - R^2) du/dR by a 4th-order stencil around RR_

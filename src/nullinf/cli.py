@@ -184,12 +184,22 @@ SCHEMAS = {
 
 #: relations between the keys of one subcommand, each with its test on the values
 RELATIONS = {
-    "model-pde": [("rho_min < eps", lambda v: v["rho_min"] < v["eps"])],
+    "model-pde": [
+        ("rho_min < eps", lambda v: v["rho_min"] < v["eps"]),
+        # the leading-term fits square residuals of the solution, which is linear in
+        # the amplitude; 1e150 squared stays 1e8 below the largest float
+        ("abs(forcing_amplitude) <= 1e150", lambda v: abs(v["forcing_amplitude"]) <= 1e150),
+    ],
     "bondi": [
         ("u_start < u_end", lambda v: v["u_start"] < v["u_end"]),
         ("u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end",
          lambda v: v["u_start"] <= v["news_center"] - 10.0 * v["news_width"]
          and v["news_center"] + 10.0 * v["news_width"] <= v["u_end"]),
+        # |news|^2 is news_amplitude**2 times |E|^2 < 2, and the mass aspect integrates
+        # it over retarded time, a factor of about news_width: both stay 1e8 below the
+        # largest float
+        ("news_amplitude**2 * max(news_width, 1) <= 1e300",
+         lambda v: v["news_amplitude"] * v["news_amplitude"] * max(v["news_width"], 1.0) <= 1e300),
     ],
     "verify-appendix": [
         ("window_low < window_high", lambda v: v["window_low"] < v["window_high"]),

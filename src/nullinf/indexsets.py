@@ -121,11 +121,8 @@ class IndexSet:
         """Pointwise k(p) comparison on powers below both truncations."""
         trunc = min(self.truncation, other.truncation)
         for p in {q for q, _ in other.generators if q < trunc}:
-            ko = other.log_bound(p) if p < other.truncation else None
-            ks = self.log_bound(p) if p < self.truncation else None
-            if ko is None:
-                continue
-            if ks is None or ks < ko:
+            ks = self.log_bound(p)
+            if ks is None or ks < other.log_bound(p):
                 return False
         return True
 
@@ -156,28 +153,21 @@ def parse(text: str, truncation) -> IndexSet:
 # -- basic operations --------------------------------------------------
 
 
-def union(a: IndexSet, b: IndexSet) -> IndexSet:
-    trunc = min(a.truncation, b.truncation)
-    pairs = list(a.generators) + list(b.generators)
-    return IndexSet(_normalize(pairs, trunc), trunc)
+def union(*sets: IndexSet) -> IndexSet:
+    """Pointwise maximum of the log bounds, below the smallest truncation."""
+    trunc = min(s.truncation for s in sets)
+    return IndexSet(_normalize([g for s in sets for g in s.generators], trunc), trunc)
 
 
 def extended_union(*sets: IndexSet) -> IndexSet:
     """Union plus one extra log order wherever several arguments overlap."""
-    sets = [s for s in sets]
     if not sets:
         raise ValueError("extended_union needs at least one argument")
-    if len(sets) == 1:
-        return sets[0]
     trunc = min(s.truncation for s in sets)
-    bps = sorted({p for s in sets for p, _ in s.generators if p < trunc})
     pairs = []
-    for p in bps:
-        ks = [s.log_bound(p) if p < s.truncation else None for s in sets]
-        ks = [k for k in ks if k is not None]
-        if not ks:
-            continue
-        pairs.append((p, sum(ks) + len(ks) - 1 if len(ks) > 1 else ks[0]))
+    for p in sorted({p for s in sets for p, _ in s.generators if p < trunc}):
+        ks = [k for k in (s.log_bound(p) for s in sets) if k is not None]
+        pairs.append((p, sum(ks) + len(ks) - 1))
     return IndexSet(_normalize(pairs, trunc), trunc)
 
 
@@ -287,26 +277,23 @@ def _nonlinear_closure_terms(e: IndexSet, trunc: Fraction) -> list[IndexSet]:
     for j in range(1, jmax + 1):
         term = shift(scale_sum(shifted, j), -1)
         if term.min_power is not None and term.min_power < trunc:
-            out.append(term.restrict(min(trunc, term.truncation)))
+            out.append(term.restrict(trunc))
     return out
 
 
-def _close_e0(e00: IndexSet, trunc: Fraction, with_elog_prime: bool, cap: int) -> IndexSet:
-    ep = elog_prime(trunc)
-    current = e00.restrict(min(trunc, e00.truncation))
-    for _ in range(cap + 1):
-        pieces = [current]
-        if with_elog_prime and not current.is_empty:
-            pieces.append(sum_sets(current, ep).restrict(trunc))
-        pieces.extend(t.restrict(trunc) for t in _nonlinear_closure_terms(current, trunc))
-        new = pieces[0]
-        for t in pieces[1:]:
-            new = union(new, t)
-        new = new.restrict(trunc)
+def _least_fixed_point(step, start, cap: int, what: str):
+    """Iterate ``step`` from ``start`` until it returns its argument.
+
+    Returns the fixed point and the number of steps taken, the last one
+    included; raises after ``cap`` steps without one.
+    """
+    current = start
+    for steps in range(1, cap + 1):
+        new = step(current)
         if new == current:
-            return current
+            return current, steps
         current = new
-    raise RecursionError_("closure of the spatial index set did not stabilize")
+    raise RecursionError_(f"{what} did not stabilize within {cap} iterations")
 
 
 def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -> RecursionResult:
@@ -315,6 +302,9 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
     ``e00`` seeds the spatial-face set; the three radiation-face sets and
     the temporal-face set are grown from empty by simultaneous iteration of
     their defining inclusions until they stop changing below the truncation.
+    Every intermediate set is truncated at or beyond ``truncation`` (sums add
+    nonnegative powers, and shifting up raises the truncation), so each union
+    below lands exactly on it.
     """
     trunc = _frac(truncation)
     if trunc <= 0:
@@ -327,51 +317,33 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
         c = min(Fraction(1), e00.min_power)
     cap = math.ceil(Fraction(3) * trunc / c) + 1
 
-    e0 = _close_e0(e00, trunc, include_elog_prime, cap)
+    ep = elog_prime(trunc) if include_elog_prime else IndexSet.empty(trunc)
+    e0, _ = _least_fixed_point(
+        lambda e: union(e, sum_sets(e, ep), *_nonlinear_closure_terms(e, trunc)),
+        e00.restrict(trunc), cap + 1, "closure of the spatial index set",
+    )
     zero = IndexSet.zero(trunc)
 
-    ei_prime = IndexSet.empty(trunc)
-    ei_bar = IndexSet.empty(trunc)
-    ei = IndexSet.empty(trunc)
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        two_ei_down = shift(scale_sum(ei, 2), 1) if not ei.is_empty else IndexSet.empty(trunc)
-        two_ei_down = two_ei_down.restrict(min(trunc, two_ei_down.truncation))
-
-        new_prime = extended_union(e0, two_ei_down).restrict(trunc)
-
-        inner = union(sum_sets(ei_bar, ei_prime).restrict(min(trunc, _sum_truncation(ei_bar, ei_prime))), two_ei_down)
-        new_bar = union(zero, extended_union(e0, inner)).restrict(trunc)
-
-        inner2 = union(
-            sum_sets(ei, ei_prime).restrict(min(trunc, _sum_truncation(ei, ei_prime))),
-            scale_sum(ei_bar, 2).restrict(min(trunc, _sum_truncation(ei_bar, ei_bar))) if not ei_bar.is_empty else IndexSet.empty(trunc),
+    def radiation(sets):
+        ei_prime, ei_bar, ei = sets
+        two_ei_down = shift(scale_sum(ei, 2), 1).restrict(trunc)
+        return (
+            extended_union(e0, two_ei_down),
+            union(zero, extended_union(e0, union(sum_sets(ei_bar, ei_prime), two_ei_down))),
+            union(extended_union(zero, e0, union(sum_sets(ei, ei_prime), scale_sum(ei_bar, 2))),
+                  *_nonlinear_closure_terms(ei, trunc)),
         )
-        new_ei = extended_union(zero, e0, inner2).restrict(trunc)
-        for term in _nonlinear_closure_terms(ei, trunc):
-            new_ei = union(new_ei, term.restrict(trunc))
 
-        if (new_prime, new_bar, new_ei) == (ei_prime, ei_bar, ei):
-            break
-        ei_prime, ei_bar, ei = new_prime, new_bar, new_ei
-    else:
-        raise RecursionError_(
-            f"radiation-face index sets did not stabilize within {cap} iterations"
-        )
+    empty = IndexSet.empty(trunc)
+    (ei_prime, ei_bar, ei), iterations = _least_fixed_point(
+        radiation, (empty, empty, empty), cap, "radiation-face index sets"
+    )
 
     minus_i = IndexSet.single(1, 0, trunc)
-    base = union(extended_union(minus_i, zero), IndexSet.empty(trunc))
+    base = extended_union(minus_i, zero)
     ei_tilde = drop_zero_log(ei)
-    eplus = IndexSet.empty(trunc)
-    for it_plus in range(1, cap + 1):
-        pieces = [p for p in (shift(eplus, 1).restrict(trunc) if not eplus.is_empty else None, minus_i, ei_tilde) if p is not None and not p.is_empty]
-        new_plus = union(base, extended_union(*pieces)).restrict(trunc) if pieces else base
-        if new_plus == eplus:
-            break
-        eplus = new_plus
-    else:
-        raise RecursionError_(
-            f"temporal-face index set did not stabilize within {cap} iterations"
-        )
-
+    eplus, _ = _least_fixed_point(
+        lambda e: union(base, extended_union(shift(e, 1), minus_i, ei_tilde)),
+        empty, cap, "temporal-face index set",
+    )
     return RecursionResult(e0, ei_prime, ei_bar, ei, eplus, iterations)

@@ -169,8 +169,9 @@ class Weights:
 class PerturbationField:
     """Rescaled (barred) perturbation components on (rho0, rhoI, theta, phi).
 
-    Keys "00", "01", "0b", "11", "1b", "ab" follow the null/spherical
-    splitting; spherical slots are sympy expressions per coordinate pair.
+    Keys "00", "01", "02"/"03", "11", "12"/"13" and "22"/"23"/"33" follow
+    the null/spherical splitting, one key per coordinate pair with the
+    angles 2 (theta) and 3 (phi); each value is a sympy expression.
     Missing components are zero; ``weights`` declares the decay class the
     field is built to satisfy.
     """
@@ -325,7 +326,7 @@ class MetricField:
 # -- exact closed forms for the unperturbed metric --------------------------
 
 
-def _round_metric(theta):
+def round_metric(theta):
     """(N, 2, 2) round-sphere metric."""
     ghat = np.zeros(theta.shape + (2, 2))
     ghat[..., 0, 0] = 1.0
@@ -350,7 +351,7 @@ class SchwarzschildExact:
     def riemann(self):
         """(N, 4, 4, 4, 4): R^kappa_{lambda mu nu}"""
         m, r = self.m, self.r
-        ghat = _round_metric(self.theta)
+        ghat = round_metric(self.theta)
         f = 1.0 - 2.0 * m / r
         riem = np.zeros(r.shape + (4, 4, 4, 4))
 
@@ -399,7 +400,7 @@ def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
     if np.any(r <= 2 * m) or np.any(r <= 0):
         raise ValueError("need r > 2m and r > 0")
     sin, cos = np.sin(theta), np.cos(theta)
-    ghat = _round_metric(theta)
+    ghat = round_metric(theta)
 
     f = 1.0 - 2.0 * m / r
     gamma = np.zeros(r.shape + (4, 4, 4))

@@ -226,6 +226,14 @@ def _grid_interp(grid: CharacteristicGrid, table):
     return f
 
 
+def _plus_table(grid: CharacteristicGrid, base, table):
+    """The forcing ``base`` (a callable of (r0, rI), or None) plus the interpolant of ``table``."""
+    extra = _grid_interp(grid, table)
+    if base is None:
+        return extra
+    return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
+
+
 def solve_weak_null_system(
     grid: CharacteristicGrid,
     gamma,
@@ -238,13 +246,7 @@ def solve_weak_null_system(
     u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
 
     def with_quadratic(base, source_sol):
-        if not couple:
-            return base
-        table = _quadratic_source(source_sol)
-        extra = _grid_interp(grid, table)
-        if base is None:
-            return extra
-        return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
+        return _plus_table(grid, base, _quadratic_source(source_sol)) if couple else base
 
     u1c = solve_wave_mode(grid, with_quadratic(forcing[1], u0), data[1])
     u1 = solve_wave_mode(grid, with_quadratic(forcing[2], u1c), data[2])
@@ -274,11 +276,7 @@ def newton_iterate(
         """Source with the quadratic coupling frozen, from the derivatives d1 of the two solutions."""
         rho0 = grid.rho0[:, None]
         rhoI = grid.rhoI[None, :]
-        table = (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI)
-        extra = _grid_interp(grid, table)
-        if base is None:
-            return extra
-        return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
+        return _plus_table(grid, base, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
 
     u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
     a_u0 = u0.d1()
@@ -347,7 +345,7 @@ def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
 
     if model == "log+const":
         design = np.stack([lx, np.ones_like(lx)], axis=1)
-        coef, res_, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
         return LeadingFit(model, float(coef[0]), float(coef[1]), None, None, resid)
 

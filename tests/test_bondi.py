@@ -74,6 +74,39 @@ def test_conjugate_normal_normalization(schwarzschild_cut):
         assert abs(cut.L[i] @ gi @ cut.L[i]) < 1e-11
 
 
+def _conjugate_normal_per_point(cut):
+    """Reference: one least-squares solve per point."""
+    out = np.empty((cut.points.shape[0], 4))
+    for i, gi in enumerate(cut.g):
+        A = np.stack([cut.T[i, 0] @ gi, cut.T[i, 1] @ gi, cut.L[i] @ gi])
+        sol = np.linalg.lstsq(A, np.array([0.0, 0.0, 2.0]), rcond=None)[0]
+        out[i] = sol - (sol @ gi @ sol) / 4.0 * cut.L[i]
+    return out
+
+
+def _area_radius_per_point(cut):
+    """Reference: the least-squares angular projections solved one point at a time."""
+    n = cut.points.shape[0]
+    xc = cut.congruence.traj.interpolate_per_member(np.repeat(cut.s_star, 9))[0].reshape(n, 9, 4)
+    out = np.empty(n)
+    for i, gi in enumerate(cut.g):
+        J = np.stack([(xc[i, 7] - xc[i, 1]) / (2 * bd._DELTA), (xc[i, 5] - xc[i, 3]) / (2 * bd._DELTA), cut.L[i]], axis=1)
+        gv = cut.L[i] @ gi
+        va = np.zeros((2, 4))
+        va[0, 2] = va[1, 3] = 1.0
+        va[:, 1] = -gv[2:] / gv[1]
+        dpi = np.stack([np.linalg.lstsq(J, va[a], rcond=None)[0][:2] for a in range(2)])
+        ghat = np.diag([1.0, math.sin(cut.points[i, 2]) ** 2])
+        out[i] = np.linalg.det(np.linalg.solve(dpi @ ghat @ dpi.T, va @ gi @ va.T)) ** 0.25
+    return out
+
+
+def test_batched_cut_solves_match_per_point_lstsq(schwarzschild_cut):
+    _, cut, _ = schwarzschild_cut
+    assert np.max(np.abs(cut.conjugate_normal() - _conjugate_normal_per_point(cut))) < 1e-12
+    assert np.max(np.abs(bd.area_radius(cut) / _area_radius_per_point(cut) - 1.0)) < 1e-12
+
+
 def test_hawking_mass_schwarzschild_radii():
     g = MetricField(M)
     for rc in (10.0, 50.0, 200.0):

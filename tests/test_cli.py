@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,12 @@ BAD_VALUES = {
         "config error: verify-appendix: need rho0 * window_low >= 1e-60; got rho0 = 0.1, window_low = 1e-80\n",
     ("verify-appendix", "mass = 0.1\nrho0 = 1e-80\n"):
         "config error: verify-appendix: need rho0 * window_low >= 1e-60; got rho0 = 1e-80, window_low = 0.0001\n",
+    ("model-pde", "forcing_amplitude = 1e300\n"):
+        "config error: model-pde: need abs(forcing_amplitude) <= 1e150; got forcing_amplitude = 1e300\n",
+    ("bondi", "mass = 0.1\nnews_amplitude = 1e200\n"):
+        "config error: bondi: need news_amplitude**2 * max(news_width, 1) <= 1e300; got news_amplitude = 1e200, news_width = 1.0\n",
+    ("bondi", "mass = 0.1\nnews_amplitude = 1e150\nnews_width = 1e9\nu_start = -1e11\nu_end = 1e11\n"):
+        "config error: bondi: need news_amplitude**2 * max(news_width, 1) <= 1e300; got news_amplitude = 1e150, news_width = 1e9\n",
     ("geodesics", "mass = 0.1\nmass = 0.2\n"):
         "config error: {cfg}:2: repeated key mass\n",
     ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
@@ -219,6 +226,20 @@ def test_model_pde_without_fitted_exponent_is_a_failing_row(tmp_path, capsys, te
     assert row.startswith("decay-exponent,0.5,none,") and row.endswith(",fail")
 
 
+@pytest.mark.parametrize("subcommand, text", [
+    ("model-pde", "forcing_amplitude = 1e150\n"),
+    ("model-pde", "forcing_amplitude = -1e150\nforcing_center = 0.1\n"),
+    # the budget residual is round-off of values near 1e299, so its tolerance follows
+    ("bondi", "mass = 0.1\nnews_amplitude = 1e150\nbudget_tol = 1e290\n"),
+    ("bondi", "mass = 0.1\nnews_amplitude = 1e145\nnews_width = 1e10\nu_start = -2e11\nu_end = 2e11\nbudget_tol = 1e290\n"),
+])
+def test_amplitude_at_its_bound_runs_without_runtime_warnings(tmp_path, capsys, subcommand, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(subcommand, write_config(tmp_path, text), tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_failed_check_exits_1(tmp_path):
     # a zero tolerance cannot pass against the fitted exponent
     cfg = write_config(tmp_path, "gamma = 0.5\nexponent_rel_tol = 0\n")
@@ -234,10 +255,10 @@ def test_list_checks():
 LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
-    "model-pde: relations: rho_min < eps\n"
+    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
-    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end\n"
+    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; news_amplitude**2 * max(news_width, 1) <= 1e300\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
     "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60"
 )

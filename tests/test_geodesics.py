@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nullinf.compactify import inverse_tortoise
-from nullinf.geodesics import integrate_radial_null_geodesic, retarded_time
+from nullinf.geodesics import _cumulative_simpson, integrate_radial_null_geodesic, retarded_time
 from nullinf.metrics import MetricField, Weights, perturbation, rate_saturating_field
 
 warnings.filterwarnings("ignore", message="tail truncation")
@@ -152,3 +152,28 @@ def test_retarded_time_derivative_matches_long_range_term():
 def test_tail_bound_reported_small(schwarzschild_traj):
     _, traj = schwarzschild_traj
     assert traj.tail_bound < 1e-8
+
+
+def _cumulative_simpson_loop(H, h):
+    """Node-by-node reference: the same additions in the same order as the batched rule."""
+    n = H.shape[-1]
+    out = np.zeros_like(H)
+    if n < 3:
+        if n == 2:
+            out[..., 1] = 0.5 * h * (H[..., 0] + H[..., 1])
+        return out
+    inc_odd = h / 12.0 * (5.0 * H[..., :-2:2] + 8.0 * H[..., 1:-1:2] - H[..., 2::2])
+    inc_even = h / 3.0 * (H[..., :-2:2] + 4.0 * H[..., 1:-1:2] + H[..., 2::2])
+    for k in range(inc_odd.shape[-1]):
+        out[..., 2 * k + 1] = out[..., 2 * k] + inc_odd[..., k]
+        out[..., 2 * k + 2] = out[..., 2 * k] + inc_even[..., k]
+    if n % 2 == 0:
+        out[..., -1] = out[..., -2] + 0.5 * h * (H[..., -2] + H[..., -1])
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cumulative_simpson_is_bitwise_the_loop(n):
+    H = np.random.default_rng(n).normal(size=(3, 5, n))
+    got, want = _cumulative_simpson(H, 0.07), _cumulative_simpson_loop(H, 0.07)
+    assert got.tobytes() == want.tobytes()

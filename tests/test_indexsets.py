@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -247,6 +248,28 @@ def test_recursion_monotone_in_seed():
 def test_recursion_rejects_nonpositive_seed():
     with pytest.raises(ValueError):
         ix.solve_index_recursion(ix.IndexSet.zero(N), N, include_elog_prime=True)
+
+
+#: seeds and truncations of the pinned grid; a seed power between 0 and 1 below
+#: the truncation makes drop_zero_log raise, and that error is pinned with the rest
+GRID_SEEDS = ([], [(1, 0)], [(F(3, 2), 1)], [(F(1, 2), 0)], [(1, 1), (2, 3)], [(F(1, 3), 0)],
+              [(F(1, 2), 0), (1, 2)], [(2, 0)])
+GRID_TRUNCATIONS = (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3, F(7, 2), 4)
+GRID_SHA256 = "a8483800dcc8c0bf1f1614cc256958e14946aa3cf4d79c21317d06951f090276"
+
+
+def test_recursion_grid_is_pinned():
+    # repr of every result (its five sets and iterations_used) or of the error it raised
+    seen = []
+    for pairs in GRID_SEEDS:
+        for trunc in GRID_TRUNCATIONS:
+            for flag in (True, False):
+                try:
+                    seen.append(repr(ix.solve_index_recursion(ix.IndexSet.make(pairs, trunc), trunc, flag)))
+                except Exception as exc:
+                    seen.append(repr(exc))
+    assert len(seen) == 128 and sum(s.startswith("ValueError(") for s in seen) == 44
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == GRID_SHA256
 
 
 # -- serialization ---------------------------------------------------------
