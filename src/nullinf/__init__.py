@@ -22,59 +22,9 @@ geodesics / bondi
     static scattering solutions.
 cli
     Configuration-driven experiment runner with CSV reports.
+
+The package root imports no module: import what you use from the module
+that defines it, e.g. ``from nullinf.metrics import MetricField``.
 """
 
 __version__ = "0.1.0"
-
-from .compactify import (  # noqa: F401
-    DoubleNullPoint,
-    BoundaryTriple,
-    tortoise,
-    inverse_tortoise,
-    chart_transition_temporal_to_nullcone,
-    chart_transition_nullcone_to_temporal,
-    boundary_defining,
-    null_frame_coefficients,
-    scaled_time_fixed_point,
-)
-from .indexsets import (  # noqa: F401
-    IndexSet,
-    RecursionResult,
-    union,
-    extended_union,
-    sum_sets,
-    shift,
-    scale_sum,
-    elog,
-    elog_prime,
-    solve_index_recursion,
-    transport_index_rho,
-    transport_index_two_face,
-)
-from .metrics import MetricField, PerturbationField, Weights, perturbation, schwarzschild_exact  # noqa: F401
-from .leading_terms import excess_decay_slopes  # noqa: F401
-from .expansions import PolyhomExpansion, ProductExpansion  # noqa: F401
-from .modelpde import (  # noqa: F401
-    BoundaryData,
-    CharacteristicGrid,
-    ModeSolution,
-    fit_leading_terms,
-    newton_iterate,
-    solve_damped_mode,
-    solve_wave_mode,
-    solve_weak_null_system,
-)
-from .geodesics import GeodesicTrajectory, integrate_radial_null_geodesic, retarded_time  # noqa: F401
-from .bondi import (  # noqa: F401
-    BondiReport,
-    Congruence,
-    NewsTensor,
-    area_radius,
-    bondi_mass_from_data,
-    evolve_mass_aspect,
-    hawking_mass,
-    scattering_limit_combination,
-    scattering_operator_residual,
-    scattering_solution,
-    tensor_harmonic,
-)

@@ -10,14 +10,15 @@ field equations, with radiated flux entering at the calibrated coefficient.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .geodesics import integrate_radial_null_geodesic
-from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, compile_fields, round_metric,
-                      sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
+from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, Weights, compile_fields, perturbation,
+                      round_metric, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
 #: coefficient of |news|^2 in the retarded-time transport of the mass aspect;
@@ -229,8 +230,6 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_lo
     quadratic term), so cut geometry reproduces the boundary mass formulas.
     ``profile`` is a sympy expression in the spatial-face defining function.
     """
-    from .metrics import Weights, perturbation
-
     w = weights or Weights(0.45, 0.3, 0.4, -0.1)
     E = tensor_harmonic(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
@@ -368,8 +367,6 @@ def scattering_solution(ell, R):
     if np.any((R <= 0) | (R >= 1)):
         raise ValueError("the static chart needs 0 < R < 1")
     if np.any(R > 1 - 1e-6):
-        import warnings
-
         warnings.warn("evaluating a static solution within 1e-6 of the pole")
     L = np.log((1.0 - R) / (1.0 + R))
     if ell == 0:

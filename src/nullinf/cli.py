@@ -19,6 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bondi as bd, indexsets as ix, modelpde as mp
+from .geodesics import integrate_radial_null_geodesic
+from .leading_terms import excess_decay_slopes
+from .metrics import MetricField, manufactured_suite
+
 
 class ConfigError(Exception):
     pass
@@ -195,6 +200,10 @@ RELATIONS = {
         ("u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end",
          lambda v: v["u_start"] <= v["news_center"] - 10.0 * v["news_width"]
          and v["news_center"] + 10.0 * v["news_width"] <= v["u_end"]),
+        # the retarded-time grid resolves the news profile; a span too large for a
+        # float is inf here and fails, before np.linspace would overflow on it
+        ("(u_end - u_start) / (u_samples - 1) <= news_width",
+         lambda v: (v["u_end"] - v["u_start"]) / (v["u_samples"] - 1) <= v["news_width"]),
         # |news|^2 is news_amplitude**2 times |E|^2 < 2, and the mass aspect integrates
         # it over retarded time, a factor of about news_width: both stay 1e8 below the
         # largest float
@@ -243,8 +252,6 @@ def resolve_options(subcommand, raw: dict) -> dict:
 
 
 def run_index_sets(opts, outdir: Path) -> RunReport:
-    from . import indexsets as ix
-
     trunc = opts["truncation"]
     report = RunReport("index-sets")
 
@@ -287,8 +294,6 @@ def run_index_sets(opts, outdir: Path) -> RunReport:
 
 
 def run_model_pde(opts, outdir: Path) -> RunReport:
-    from . import modelpde as mp
-
     report = RunReport("model-pde")
     gamma = opts["gamma"]
     grid = mp.CharacteristicGrid(
@@ -336,9 +341,6 @@ def run_model_pde(opts, outdir: Path) -> RunReport:
 
 
 def run_geodesics(opts, outdir: Path) -> RunReport:
-    from .geodesics import integrate_radial_null_geodesic
-    from .metrics import MetricField
-
     report = RunReport("geodesics")
     metric = MetricField(opts["mass"])
     traj = integrate_radial_null_geodesic(
@@ -368,8 +370,6 @@ def run_geodesics(opts, outdir: Path) -> RunReport:
 
 
 def run_bondi(opts, outdir: Path) -> RunReport:
-    from . import bondi as bd
-
     report = RunReport("bondi")
     m = opts["mass"]
     amp = opts["news_amplitude"]
@@ -400,9 +400,6 @@ def run_bondi(opts, outdir: Path) -> RunReport:
 
 
 def run_verify_appendix(opts, outdir: Path) -> RunReport:
-    from .leading_terms import excess_decay_slopes
-    from .metrics import manufactured_suite
-
     report = RunReport("verify-appendix")
     m = opts["mass"]
     rows = []

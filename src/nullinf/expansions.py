@@ -20,7 +20,8 @@ from .indexsets import IndexSet, _frac
 
 
 def _coeff(c):
-    return c if isinstance(c, (Fraction, int)) else float(c)
+    # an int is exact input too; a Fraction p times a float c is float(p) * c
+    return Fraction(c) if isinstance(c, (Fraction, int)) else float(c)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def differentiate_rho(u: PolyhomExpansion) -> PolyhomExpansion:
     out = []
     for p, k, c in u.terms:
         if p != 0:
-            out.append((p, k, p * c if isinstance(c, Fraction) else float(p) * c))
+            out.append((p, k, p * c))
         if k > 0:
             out.append((p, k - 1, k * c))
     return PolyhomExpansion.make(out, u.remainder_order)
@@ -90,13 +91,13 @@ def transport_rho(f: PolyhomExpansion) -> tuple[PolyhomExpansion, IndexSet]:
         if not isinstance(p, Fraction):
             raise ValueError("transport needs rational powers")
         if p == 0:
-            out.append((p, k + 1, c / (k + 1) if isinstance(c, Fraction) else c / (k + 1.0)))
+            out.append((p, k + 1, c / (k + 1)))
         else:
-            a = c / p if isinstance(c, Fraction) else c / float(p)
+            a = c / p
             j = k
             terms_here = [(p, j, a)]
             while j > 0:
-                a = -(j) * a / p if isinstance(a, Fraction) else -float(j) * a / float(p)
+                a = -j * a / p
                 j -= 1
                 terms_here.append((p, j, a))
             out.extend(terms_here)

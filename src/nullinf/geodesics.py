@@ -9,6 +9,7 @@ Targets are batched: one call integrates a whole congruence.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,11 +204,9 @@ def integrate_radial_null_geodesic(
         raise RuntimeError("Picard iteration is not contracting")
 
     if tail_bound > 1e-8:
-        import warnings
-
         warnings.warn(f"tail truncation bound {tail_bound:.2e} exceeds 1e-08")
 
-    gam = _christoffel_at(metric, x).reshape((ntar, ns, 4, 4, 4))
+    # x has not moved since the last sweep, so its connection is still gam
     acc = -np.einsum("...kmn,...m,...n->...k", gam, v, v)
 
     squeeze = np.ndim(target_angles) == 1

@@ -422,6 +422,7 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     their theta-theta representative.  Stored for inspection and structure
     tests, not used by the solvers.
     """
+    # imported here, not at the top: the characteristic solvers load no sympy
     import sympy as sp
 
     from .compactify import _mass, inverse_tortoise

@@ -122,6 +122,10 @@ BAD_VALUES = {
         "config error: verify-appendix: need rho0 * window_low >= 1e-60; got rho0 = 1e-80, window_low = 0.0001\n",
     ("model-pde", "forcing_amplitude = 1e300\n"):
         "config error: model-pde: need abs(forcing_amplitude) <= 1e150; got forcing_amplitude = 1e300\n",
+    ("bondi", "mass = 0.1\nu_start = -1e308\nu_end = 1e308\n"):
+        "config error: bondi: need (u_end - u_start) / (u_samples - 1) <= news_width; got u_end = 1e308, u_start = -1e308, u_samples = 601, news_width = 1.0\n",
+    ("bondi", "mass = 0.1\nu_start = -1e200\nu_end = 1e200\n"):
+        "config error: bondi: need (u_end - u_start) / (u_samples - 1) <= news_width; got u_end = 1e200, u_start = -1e200, u_samples = 601, news_width = 1.0\n",
     ("bondi", "mass = 0.1\nnews_amplitude = 1e200\n"):
         "config error: bondi: need news_amplitude**2 * max(news_width, 1) <= 1e300; got news_amplitude = 1e200, news_width = 1.0\n",
     ("bondi", "mass = 0.1\nnews_amplitude = 1e150\nnews_width = 1e9\nu_start = -1e11\nu_end = 1e11\n"):
@@ -258,7 +262,7 @@ LIST_CHECKS = (
     "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
-    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; news_amplitude**2 * max(news_width, 1) <= 1e300\n"
+    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
     "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60"
 )

@@ -1,11 +1,13 @@
 """No dead code in the package: every local that is assigned is read, and every import is used.
 
 A function's locals include those of the functions nested in it, so a value
-handed to a closure counts as read.  Names starting with ``_`` are exempt, and
-so are the re-exports of ``__init__.py``.
+handed to a closure counts as read.  Names starting with ``_`` are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,8 +55,20 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 def test_no_dead_locals_or_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert dead_locals(tree) == []
-    if path.name != "__init__.py":
-        assert unused_imports(tree) == []
+    assert unused_imports(tree) == []
+
+
+def _loaded_after(statement):
+    """Names in ``sys.modules`` after ``statement`` in a fresh interpreter."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return set(out.stdout.split())
+
+
+def test_package_root_and_model_pde_load_only_what_they_use():
+    assert {m for m in _loaded_after("import nullinf") if m.startswith("nullinf.")} == set()
+    assert "sympy" not in _loaded_after("import nullinf.modelpde")
 
 
 def test_checker_flags_a_dead_local_and_an_unused_import():

@@ -34,7 +34,7 @@ def test_transport_set_matches_cross_module_rule():
 term_st = st.tuples(
     st.fractions(min_value=0, max_value=3, max_denominator=8),
     st.integers(min_value=0, max_value=4),
-    st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0),
+    st.one_of(st.fractions(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5)).filter(lambda c: c != 0),
 )
 
 
@@ -45,6 +45,7 @@ def test_transport_differentiates_back_exactly(terms):
     if not f.terms:
         return
     u, predicted = ex.transport_rho(f)
+    assert all(isinstance(c, F) for _, _, c in u.terms)
     assert ex.differentiate_rho(u) == f
     assert predicted == ix.transport_index_rho(f.index_hull())
 

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from nullinf import geodesics
 from nullinf.compactify import inverse_tortoise
-from nullinf.geodesics import _cumulative_simpson, integrate_radial_null_geodesic, retarded_time
+from nullinf.geodesics import _christoffel_at, _cumulative_simpson, integrate_radial_null_geodesic, retarded_time
 from nullinf.metrics import MetricField, Weights, perturbation, rate_saturating_field
 
 warnings.filterwarnings("ignore", message="tail truncation")
@@ -147,6 +148,23 @@ def test_retarded_time_derivative_matches_long_range_term():
         diffs.append(abs(d1u - (1.0 + 2.0 * c / r)))
     slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
     assert slope < -1.2  # faster than 1/r
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_one_connection_evaluation_per_sweep(monkeypatch, perturbed):
+    # the returned acceleration reuses the last sweep's connection at the final x
+    g = MetricField(0.1, rate_saturating_field(Weights(0.45, 0.3, 0.4, -0.1)) if perturbed else None)
+    calls = []
+
+    def counted(metric, x):
+        calls.append(x.shape)
+        return _christoffel_at(metric, x)
+
+    monkeypatch.setattr(geodesics, "_christoffel_at", counted)
+    traj = integrate_radial_null_geodesic(g, -30.0, np.array([[1.1, 0.7], [0.4, 2.0]]), s0=30.0)
+    assert len(calls) == traj.iterations
+    gam = _christoffel_at(g, traj.x)
+    assert np.array_equal(traj.acc, -np.einsum("...kmn,...m,...n->...k", gam, traj.v, traj.v))
 
 
 def test_tail_bound_reported_small(schwarzschild_traj):
