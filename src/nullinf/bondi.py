@@ -17,7 +17,7 @@ import numpy as np
 import sympy as sp
 
 from .geodesics import integrate_radial_null_geodesic
-from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, Weights, compile_fields, perturbation,
+from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, PerturbationField, Weights, compile_fields,
                       round_metric, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
@@ -222,7 +222,7 @@ def tensor_harmonic(ell, em):
     return sp.simplify(hessian - ROUND_METRIC * sphere_trace(hessian) / 2)
 
 
-def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_log=False):
+def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     """Radiating perturbation compatible with the gauge structure.
 
     The spherical part carries the news; the mixed and long components are
@@ -230,7 +230,6 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_lo
     quadratic term), so cut geometry reproduces the boundary mass formulas.
     ``profile`` is a sympy expression in the spatial-face defining function.
     """
-    w = weights or Weights(0.45, 0.3, 0.4, -0.1)
     E = tensor_harmonic(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
     hmat = A * E
@@ -252,7 +251,7 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), weights=None, with_lo
         "13": h1b[1],
         "11": h11,
     }
-    return perturbation(comps, w, label="news-compatible"), log_coeff
+    return PerturbationField(comps, Weights(0.45, 0.3, 0.4, -0.1), label="news-compatible"), log_coeff
 
 
 @dataclass
@@ -340,14 +339,15 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
     return BondiReport(u, mass, flux, budget, aspect, th, ph)
 
 
-def bondi_mass_from_data(log_coeff, h_sphere, m, quad=(24, 48)):
+def bondi_mass_from_data(log_coeff, h_sphere, m):
     """Mass aspect and Bondi mass from radiation-face data.
 
     ``log_coeff`` is the log coefficient of the long-direction component
     (its boundary transport value is -1/2 of it), ``h_sphere`` the 2x2
-    spherical part; the double-divergence term integrates to zero.
+    spherical part; the double-divergence term integrates to zero.  The
+    aspect is sampled on the 24 x 48 nodes of ``sphere_quadrature()``.
     """
-    th, ph, w = sphere_quadrature(*quad)
+    th, ph, w = sphere_quadrature()
     transport = -0.5 * compile_fields((TH, PH), [sp.sympify(log_coeff)])(th, ph)[:, 0]
     divdiv = np.zeros_like(th)
     if h_sphere is not None:
@@ -378,8 +378,9 @@ def scattering_solution(ell, R):
     raise ValueError("modes 0, 1, 2 are implemented")
 
 
-def scattering_operator_residual(ell, R, h=1e-3):
-    """Residual of the static mode operator on the closed form, by differences."""
+def scattering_operator_residual(ell, R):
+    """Residual of the static mode operator on the closed form, by differences of step 1e-3."""
+    h = 1e-3
 
     def u(RR_):
         return scattering_solution(ell, RR_)
@@ -398,13 +399,14 @@ def scattering_operator_residual(ell, R, h=1e-3):
     return abs(val)
 
 
-def scattering_limit_combination(eps_values=(1e-3, 1e-4, 1e-5)):
+def scattering_limit_combination():
     """Boundary limit of the quarter/half/quarter combination, extrapolated.
 
     The combination has an (1-R) log(1-R) approach to its limit; a
-    three-point solve in (eps, eps log eps) removes both terms.
+    three-point solve at 1 - R = 1e-3, 1e-4, 1e-5 in (eps, eps log eps)
+    removes both terms.
     """
-    eps = np.asarray(eps_values, dtype=float)
+    eps = np.array([1e-3, 1e-4, 1e-5])
     vals = np.array(
         [
             0.25 * scattering_solution(0, 1 - e)

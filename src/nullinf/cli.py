@@ -70,10 +70,6 @@ class RunReport:
         self.checks.append(Check(name, expected_f, got_f, tolerance, passed))
         return passed
 
-    def add_bound(self, name, got, bound):
-        got_f = float(got)
-        self.checks.append(Check(name, 0.0, got_f, bound, abs(got_f) <= bound))
-
     def add_exact(self, name, expected, got):
         self.checks.append(Check(name, expected, got, 0.0, expected == got))
 
@@ -189,6 +185,10 @@ SCHEMAS = {
 
 #: relations between the keys of one subcommand, each with its test on the values
 RELATIONS = {
+    # the index recursion's work grows fast with the truncation: one run takes
+    # 1.0 s at the default 4, 6.3 s at 12, 15 s at 14 and 26 s at 16 (2-vCPU
+    # host), and 1e400 ends in MemoryError
+    "index-sets": [("truncation <= 12", lambda v: v["truncation"] <= 12)],
     "model-pde": [
         ("rho_min < eps", lambda v: v["rho_min"] < v["eps"]),
         # the leading-term fits square residuals of the solution, which is linear in
@@ -336,7 +336,7 @@ def run_model_pde(opts, outdir: Path) -> RunReport:
     if gamma > 0:
         report.add("decay-exponent", gamma, fit.exponent, opts["exponent_rel_tol"] * gamma)
     else:
-        report.add_bound("leading-term-present", 1.0 / max(abs(fit.c0), 1e-300), 1e6)
+        report.add("leading-term-present", 0.0, 1.0 / max(abs(fit.c0), 1e-300), 1e6)
     return report
 
 
@@ -359,13 +359,13 @@ def run_geodesics(opts, outdir: Path) -> RunReport:
         rows,
         outdir / "trajectory.csv",
     )
-    report.add_bound("null-norm", np.max(np.abs(nn)), opts["null_norm_tol"])
+    report.add("null-norm", 0.0, np.max(np.abs(nn)), opts["null_norm_tol"])
     drift = max(
         np.max(np.abs(traj.x[:, 1] - opts["x1bar"])),
         np.max(np.abs(traj.x[:, 2] - opts["theta"])),
         np.max(np.abs(traj.x[:, 3] - opts["phi"])),
     )
-    report.add_bound("component-drift", drift, opts["component_drift_tol"])
+    report.add("component-drift", 0.0, drift, opts["component_drift_tol"])
     return report
 
 
@@ -392,10 +392,10 @@ def run_bondi(opts, outdir: Path) -> RunReport:
         list(zip(rep.u, rep.mass, rep.flux, rep.budget_residual)),
         outdir / "bondi_report.csv",
     )
-    report.add_bound("mass-loss-budget", np.max(rep.budget_residual), opts["budget_tol"])
+    report.add("mass-loss-budget", 0.0, np.max(rep.budget_residual), opts["budget_tol"])
     report.add("initial-mass", m, rep.mass[0], 0.0)
     if amp == 0.0:
-        report.add_bound("mass-constant", np.ptp(rep.mass), 0.0)
+        report.add("mass-constant", 0.0, np.ptp(rep.mass), 0.0)
     return report
 
 
@@ -422,11 +422,7 @@ def run_verify_appendix(opts, outdir: Path) -> RunReport:
                     "pass" if c.passed else "fail",
                 )
             )
-            report.add_bound(
-                f"{h.label}/{c.line_id}",
-                0.0 if c.passed else max(c.required - c.slope, 1.0),
-                0.0,
-            )
+            report.add(f"{h.label}/{c.line_id}", 0.0, 0.0 if c.passed else max(c.required - c.slope, 1.0), 0.0)
     emit_csv(
         ("line_id", "point", "numeric", "leading_formula", "fitted_excess_decay", "pass"),
         rows,

@@ -35,9 +35,9 @@ def smoothstep(x):
     return x**3 * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def cutoff_lower(x, lo=1.0 / 3.0, hi=0.5):
-    """Smooth switch: identically 0 below lo, identically 1 above hi."""
-    return smoothstep((np.asarray(x, dtype=float) - lo) / (hi - lo))
+def cutoff_lower(x):
+    """Smooth switch: identically 0 below 1/3, identically 1 above 1/2."""
+    return smoothstep((np.asarray(x, dtype=float) - 1.0 / 3.0) / (0.5 - 1.0 / 3.0))
 
 
 # -- tortoise coordinate --------------------------------------------------
@@ -195,7 +195,6 @@ def chart_transition_nullcone_to_temporal(rho, v, omega):
 class DoubleNullPoint:
     q: float            # t + r_*
     s: float            # t - r_*
-    theta: tuple = (math.pi / 2, 0.0)
 
     @property
     def t(self):

@@ -189,12 +189,6 @@ class PerturbationField:
         return {k: self.expr(k).subs(subs) for k in _COMP_KEYS}
 
 
-def perturbation(comps, weights=None, label="h"):
-    pf = PerturbationField(dict(comps), weights or Weights(), label)
-    # symmetry of the spherical part is implicit in the component keys
-    return pf
-
-
 def _row_tables():
     """Row of the compiled arrays behind each slot of g, dg and d2g.
 
@@ -425,28 +419,28 @@ def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
 # -- manufactured perturbations --------------------------------------------
 
 
-def manufactured_suite(weights: Weights | None = None):
+def manufactured_suite():
     """Closed-form perturbations inside the admissible decay classes.
 
     Each field decays like rho0^b0 at the spatial face; good components
     carry rhoI^bI', the remaining remainders rhoI^bI, and the (1,1) slot of
     the last fields carries a log term.
     """
-    w = weights or Weights()
+    w = Weights()
     a0 = RHO0 ** sp.nsimplify(w.b0)
     aI = RHOI ** sp.nsimplify(w.bI)
     aIp = RHOI ** sp.nsimplify(w.bI_prime)
     ct, st, cp = sp.cos(TH), sp.sin(TH), sp.cos(PH)
 
     fields = [
-        perturbation({"11": a0 * sp.sqrt(RHOI)}, w, label="h11-sqrt"),
-        perturbation({"00": a0 * aIp * (1 + ct**2 / 2)}, w, label="h00-good"),
-        perturbation(
+        PerturbationField({"11": a0 * sp.sqrt(RHOI)}, w, label="h11-sqrt"),
+        PerturbationField({"00": a0 * aIp * (1 + ct**2 / 2)}, w, label="h00-good"),
+        PerturbationField(
             {"01": a0 * (1 + aI * (2 + ct)), "00": a0 * aIp},
             w,
             label="h01-leading",
         ),
-        perturbation(
+        PerturbationField(
             {
                 "22": a0 * (1 + aI) * st**2 * cp,
                 "33": -a0 * (1 + aI) * st**4 * cp,
@@ -455,12 +449,12 @@ def manufactured_suite(weights: Weights | None = None):
             w,
             label="hab-tracefree",
         ),
-        perturbation(
+        PerturbationField(
             {"12": a0 * (1 + 2 * aI) * st, "13": a0 * (1 - aI) * st**2, "01": a0 * (2 + aI)},
             w,
             label="h1b-leading",
         ),
-        perturbation(
+        PerturbationField(
             {
                 "11": a0 * (-sp.log(RHOI) + 1 + aI),
                 "01": a0 * (1 + aI),
@@ -475,21 +469,22 @@ def manufactured_suite(weights: Weights | None = None):
     return fields
 
 
-def rate_saturating_field(weights: Weights | None = None, amplitude=0.05):
+def rate_saturating_field(weights: Weights | None = None):
     """Perturbation whose components saturate their decay classes.
 
     The long-range slot is built from the product of the two corner defining
     functions, so its outgoing-null derivative gains an order; this mimics
     the improvement the gauge condition enforces and lets null geodesics
-    pick up velocity corrections at the class rates.
+    pick up velocity corrections at the class rates.  Every component has
+    amplitude 1/20.
     """
     w = weights or Weights(b0=0.45, bI=0.3, bI_prime=0.4, b_plus=-0.1)
-    amp = sp.nsimplify(amplitude)
+    amp = sp.Rational(1, 20)
     a0 = amp * RHO0 ** sp.nsimplify(w.b0)
     aI = RHOI ** sp.nsimplify(w.bI)
     st, ct = sp.sin(TH), sp.cos(TH)
     long_range = amp * (RHO0 * RHOI) ** sp.nsimplify(max(w.b0, w.bI_prime))
-    return perturbation(
+    return PerturbationField(
         {
             "00": long_range * (1 + ct / 3),
             "01": a0 * aI * (2 + ct),

@@ -193,9 +193,6 @@ class WeakNullSolution:
     u1c: ModeSolution
     u1: ModeSolution
 
-    def components(self):
-        return (self.u0, self.u1c, self.u1)
-
 
 def _quadratic_source(sol: ModeSolution):
     """rho^{-1} (d_1 u)^2 sampled on the core grid."""
@@ -237,38 +234,34 @@ def _plus_table(grid: CharacteristicGrid, base, table):
 def solve_weak_null_system(
     grid: CharacteristicGrid,
     gamma,
-    data=(None, None, None),
     forcing=(None, None, None),
     couple=True,
 ) -> WeakNullSolution:
-    """Sequential solve of the lower-triangular weak-null model system."""
-    data = [d or BoundaryData() for d in data]
-    u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
+    """Sequential solve of the lower-triangular weak-null model system, from zero data."""
+    u0 = solve_damped_mode(grid, gamma, forcing[0])
 
     def with_quadratic(base, source_sol):
         return _plus_table(grid, base, _quadratic_source(source_sol)) if couple else base
 
-    u1c = solve_wave_mode(grid, with_quadratic(forcing[1], u0), data[1])
-    u1 = solve_wave_mode(grid, with_quadratic(forcing[2], u1c), data[2])
+    u1c = solve_wave_mode(grid, with_quadratic(forcing[1], u0))
+    u1 = solve_wave_mode(grid, with_quadratic(forcing[2], u1c))
     return WeakNullSolution(u0, u1c, u1)
 
 
 def newton_iterate(
     grid: CharacteristicGrid,
     gamma,
-    data=(None, None, None),
     forcing=(None, None, None),
     steps=8,
 ):
     """Global linear-solve iteration for the weak-null system.
 
-    Starts from zero and solves the linearized triangular system at each
-    step (the quadratic couplings are frozen at the previous iterate, so a
-    step is two marches with modified sources; the damped u0 mode is linear
-    and is solved once).  Returns the iterates and the quadratic-convergence
-    ratios against the final iterate.
+    Starts from zero, with zero data, and solves the linearized triangular
+    system at each step (the quadratic couplings are frozen at the previous
+    iterate, so a step is two marches with modified sources; the damped u0
+    mode is linear and is solved once).  Returns the iterates and the
+    quadratic-convergence ratios against the final iterate.
     """
-    data = [d or BoundaryData() for d in data]
     iterates = []
     sup_history = []
 
@@ -278,17 +271,17 @@ def newton_iterate(
         rhoI = grid.rhoI[None, :]
         return _plus_table(grid, base, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
 
-    u0 = solve_damped_mode(grid, gamma, forcing[0], data[0])
+    u0 = solve_damped_mode(grid, gamma, forcing[0])
     a_u0 = u0.d1()
     a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2    # d1 of the zero start
     for k in range(steps):
-        u1c = solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0), data[1])
+        u1c = solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0))
         a_u1c = u1c.d1()
         # each d1 is taken once; the old one and the source go as soon as they
         # are used, so keeping d1 adds nothing to the peak memory of the marches
         source = linearized(forcing[2], a_prev[1], a_u1c)
         a_prev = (a_u0, a_u1c)
-        u1 = solve_wave_mode(grid, source, data[2])
+        u1 = solve_wave_mode(grid, source)
         del source
         current = (u0, u1c, u1)
         iterates.append(current)
@@ -319,13 +312,10 @@ def newton_iterate(
 
 @dataclass
 class LeadingFit:
-    model: str
     c_log: float | None
     c0: float | None
     exponent: float | None
-    amplitude: float | None
     residual: float
-    ill_conditioned: bool = False
 
 
 def _last_decade(rhoI, values):
@@ -339,7 +329,11 @@ def _last_decade(rhoI, values):
 
 
 def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
-    """Fit the boundary behavior of a radial profile on its last decade."""
+    """Fit the boundary behavior of a radial profile on its last decade.
+
+    ``model`` is "const" (c0 + a rhoI^exponent, the exponent read from the
+    differences) or "log+const" (c_log log rhoI + c0).
+    """
     x, y = _last_decade(rhoI, values)
     lx = np.log(x)
 
@@ -347,29 +341,15 @@ def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
         design = np.stack([lx, np.ones_like(lx)], axis=1)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-        return LeadingFit(model, float(coef[0]), float(coef[1]), None, None, resid)
-
-    if model == "power":
-        if np.any(y == 0.0):
-            return LeadingFit(model, None, None, 0.0, 0.0, 0.0, ill_conditioned=True)
-        sign = np.sign(y[0])
-        if np.any(np.sign(y) != sign):
-            return LeadingFit(model, None, None, 0.0, 0.0, float(np.std(y)), ill_conditioned=True)
-        coef = np.polyfit(lx, np.log(np.abs(y)), 1)
-        amp = sign * math.exp(coef[1])
-        fitted = amp * x ** coef[0]
-        resid = float(np.sqrt(np.mean((fitted - y) ** 2)))
-        return LeadingFit(model, None, None, float(coef[0]), float(amp), resid)
+        return LeadingFit(float(coef[0]), float(coef[1]), None, resid)
 
     if model == "const":
         d = np.diff(y)
         if np.all(d == 0.0):
-            return LeadingFit(model, None, float(y[0]), None, 0.0, 0.0)
+            return LeadingFit(None, float(y[0]), None, 0.0)
         if np.any(d == 0.0) or np.any(np.sign(d) != np.sign(d[np.nonzero(d)[0][0]])):
             # remainder not resolved as a clean power; fall back to the mean
-            c0 = float(np.mean(y))
-            return LeadingFit(model, None, c0, None, None,
-                              float(np.std(y)), ill_conditioned=True)
+            return LeadingFit(None, float(np.mean(y)), None, float(np.std(y)))
         slope = np.polyfit(lx[:-1], np.log(np.abs(d)), 1)
         e = float(slope[0])
         growth = math.exp(e * (lx[1] - lx[0])) - 1.0
@@ -377,7 +357,7 @@ def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
         c0 = float(y[0] - amp * x[0] ** e)
         fitted = c0 + amp * x**e
         resid = float(np.sqrt(np.mean((fitted - y) ** 2)))
-        return LeadingFit(model, None, c0, e, float(amp), resid)
+        return LeadingFit(None, c0, e, resid)
 
     raise ValueError(f"unknown fit model {model!r}")
 

@@ -208,13 +208,20 @@ def k_current(spec: CurrentSpec):
     return evaluate
 
 
-def temporal_multiplier(aI, c_V, a_plus=-1.5) -> CurrentSpec:
+# the temporal-face weight exponent a_+ of the multiplier, and the point
+# (rho_+, theta) of the static chart where its current is reported
+_A_PLUS = -1.5
+_RHO_PLUS = 0.5
+_THETA = 1.1
+
+
+def temporal_multiplier(aI) -> CurrentSpec:
     """The weighted timelike multiplier of the temporal-face estimate."""
     chart = ds_static_chart()
     rp, Rr = chart.coords[0], chart.coords[1]
     rhoI = 1 - Rr**2
-    w = rhoI ** (-2 * sp.nsimplify(aI)) * rp ** (-2 * sp.nsimplify(a_plus))
-    W = (-(1 + Rr**2) * rp * w, -(1 - sp.nsimplify(c_V)) * rhoI * Rr * w, 0, 0)
+    w = rhoI ** (-2 * sp.nsimplify(aI)) * rp ** (-2 * sp.nsimplify(_A_PLUS))
+    W = (-(1 + Rr**2) * rp * w, -rhoI * Rr * w, 0, 0)
     return CurrentSpec(chart, W)
 
 
@@ -224,24 +231,24 @@ def dilation_field_dS() -> CurrentSpec:
     return CurrentSpec(chart, (chart.coords[0], 0, 0, 0))
 
 
-def multiplier_features(aI, R, c_V=0.0, rho_plus=0.5, a_plus=-1.5, theta=1.1):
+def multiplier_features(aI, R):
     """Frame components of the weighted current at the temporal face.
 
-    Reported in the frame (rho_+ d/drho_+, rhoI d/dR, edge spherical frame)
-    after removing the weight rhoI^(2 aI + 1) rho_+^(2 a+); ``div`` carries
-    the weight rhoI^(2 aI) rho_+^(2 a+) and the sign convention of the
-    negative divergence.
+    Evaluated at (rho_+, R, theta, phi) = (1/2, R, 1.1, 0) and reported in
+    the frame (rho_+ d/drho_+, rhoI d/dR, edge spherical frame) after
+    removing the weight rhoI^(2 aI + 1) rho_+^(2 a+); ``div`` carries the
+    weight rhoI^(2 aI) rho_+^(2 a+) and the sign convention of the negative
+    divergence.
     """
-    spec = temporal_multiplier(aI, c_V, a_plus)
-    Kv, div = k_current(spec)(rho_plus, R, theta, 0.0)
+    Kv, div = k_current(temporal_multiplier(aI))(_RHO_PLUS, R, _THETA, 0.0)
     R = np.atleast_1d(np.asarray(R, dtype=float))
     rhoI = 1.0 - R**2
-    s1 = rhoI ** (2 * aI + 1) * rho_plus ** (2 * a_plus)
-    k00 = s1 * Kv[..., 0, 0] / rho_plus**2
-    k01 = s1 * Kv[..., 0, 1] / (rho_plus * rhoI)
+    s1 = rhoI ** (2 * aI + 1) * _RHO_PLUS ** (2 * _A_PLUS)
+    k00 = s1 * Kv[..., 0, 0] / _RHO_PLUS**2
+    k01 = s1 * Kv[..., 0, 1] / (_RHO_PLUS * rhoI)
     k11 = s1 * Kv[..., 1, 1] / rhoI**2
-    kslash = rhoI ** (2 * aI) * rho_plus ** (2 * a_plus) * Kv[..., 2, 2] * R**2
-    div_neg = rhoI ** (2 * aI) * rho_plus ** (2 * a_plus) * (-div)
+    kslash = rhoI ** (2 * aI) * _RHO_PLUS ** (2 * _A_PLUS) * Kv[..., 2, 2] * R**2
+    div_neg = rhoI ** (2 * aI) * _RHO_PLUS ** (2 * _A_PLUS) * (-div)
     return {
         "trK1": k00 + k11,
         "detK1": k00 * k11 - k01**2,

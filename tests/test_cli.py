@@ -94,6 +94,10 @@ BAD_VALUES = {
         "config error: bondi: news_width = '0' is outside the window news_width > 0\n",
     ("index-sets", "truncation = -1\n"):
         "config error: index-sets: truncation = '-1' is outside the window truncation > 0\n",
+    ("index-sets", "truncation = 1e400\n"):
+        "config error: index-sets: need truncation <= 12; got truncation = 1e400\n",
+    ("all", "mass = 0.1\nindex_sets.truncation = 25/2\n"):
+        "config error: index-sets: need truncation <= 12; got truncation = 25/2\n",
     ("verify-appendix", "mass = 0.1\nwindow_low = 0\n"):
         "config error: verify-appendix: window_low = '0' is outside the window window_low > 0\n",
     ("verify-appendix", "mass = 0.1\nrho0 = 0\n"):
@@ -258,6 +262,7 @@ def test_list_checks():
 
 LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
+    "index-sets: relations: truncation <= 12\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
     "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"

@@ -7,7 +7,7 @@ import pytest
 from nullinf import geodesics
 from nullinf.compactify import inverse_tortoise
 from nullinf.geodesics import _christoffel_at, _cumulative_simpson, integrate_radial_null_geodesic, retarded_time
-from nullinf.metrics import MetricField, Weights, perturbation, rate_saturating_field
+from nullinf.metrics import MetricField, PerturbationField, Weights, rate_saturating_field
 
 warnings.filterwarnings("ignore", message="tail truncation")
 
@@ -118,7 +118,7 @@ def _long_range_pair(c):
     # structure of the outgoing cones is unchanged
     from nullinf.metrics import RHOI
 
-    return perturbation({"01": c, "00": c * RHOI}, Weights())
+    return PerturbationField({"01": c, "00": c * RHOI}, Weights())
 
 
 def test_retarded_time_monotone_in_t():

@@ -159,7 +159,7 @@ def toy_setup():
 
 def test_toy_system_zero_data_is_zero():
     sol = mp.solve_weak_null_system(GRID, 0.5)
-    for comp in sol.components():
+    for comp in (sol.u0, sol.u1c, sol.u1):
         assert np.all(comp.u == 0.0)
 
 
@@ -380,13 +380,6 @@ def test_fit_log_const_manufactured():
     assert fit.c_log == pytest.approx(2.0, abs=1e-6)
     assert fit.c0 == pytest.approx(5.0, abs=1e-6)
     assert fit.residual < 1e-10
-
-
-def test_fit_power_contaminated():
-    rhoI = np.geomspace(1e-8, 1e-1, 150)
-    u = rhoI**0.3 * (1.0 + rhoI**0.2)
-    fit = mp.fit_leading_terms(rhoI, u, "power")
-    assert fit.exponent == pytest.approx(0.3, abs=0.02)
 
 
 # -- model matrices -------------------------------------------------------------------

@@ -25,10 +25,10 @@ from nullinf.metrics import (
     ROUND_METRIC,
     TH,
     MetricField,
+    PerturbationField,
     _diff_ops,
     compile_fields,
     manufactured_suite,
-    perturbation,
     schwarzschild_exact,
 )
 from nullinf.leading_terms import excess_decay_slopes
@@ -130,7 +130,7 @@ def test_gauge_oneform_vanishes_on_background():
 
 
 def test_gauge_oneform_leading_term_h00():
-    h = perturbation({"00": RHO0 ** sp.Rational(3, 5) * RHOI})
+    h = PerturbationField({"00": RHO0 ** sp.Rational(3, 5) * RHOI})
     res = excess_decay_slopes(h, 0.2, line_ids=["Upsilon_0"])
     assert len(res) == 1 and res[0].passed
 
@@ -143,7 +143,7 @@ def test_gauge_oneform_linear_in_small_h():
     ev_bg = bg.at(q, s, th, ph)
 
     def ups_at(eps):
-        scaled = perturbation({k: eps * v for k, v in h.comps.items()}, h.weights)
+        scaled = PerturbationField({k: eps * v for k, v in h.comps.items()}, h.weights)
         ev = MetricField(m, scaled).at(q, s, th, ph)
         return tn.gauge_oneform(ev, ev_bg)
 
@@ -316,7 +316,7 @@ def test_indicial_roots():
 
 
 def test_gauged_residual_vanishes_for_zero_field():
-    h = perturbation({})
+    h = PerturbationField({})
     total, _ = tn.gauged_residual_11(h, 0.2, 300.0, -20.0, 1.1, 0.4)
     assert np.max(np.abs(total)) == 0.0
 
@@ -325,7 +325,7 @@ def test_gauged_residual_pure_spherical_field():
     # u-dependent trace-free spherical part: first term zero, second term
     # -(1/4) r |d_1 h|^2 with round-metric contractions
     f = 1 / (1 + RHO0)  # function of s through rho0
-    h = perturbation({"22": f, "33": -f * sp.sin(TH) ** 2})
+    h = PerturbationField({"22": f, "33": -f * sp.sin(TH) ** 2})
     m = 0.0
     q, s, th, ph = 500.0, -25.0, 1.2, 0.3
     total, (t1, t2) = tn.gauged_residual_11(h, m, q, s, th, ph)
@@ -344,7 +344,7 @@ def test_gauged_residual_log_field_against_chain_rule_oracle():
     from nullinf.compactify import BoundaryTriple, null_frame_coefficients
 
     fexp = 2 + sp.sin(1 / RHO0)
-    h = perturbation({"11": -fexp * sp.log(RHOI)})
+    h = PerturbationField({"11": -fexp * sp.log(RHOI)})
     m = 0.15
     rho0, rhoI = 0.05, 1e-3
     s = -1.0 / rho0
@@ -385,7 +385,7 @@ def test_leading_term_suite(idx):
 
 
 def test_christoffel_sqrt_perturbation_line():
-    h = perturbation({"11": sp.sqrt(RHOI)})
+    h = PerturbationField({"11": sp.sqrt(RHOI)})
     res = excess_decay_slopes(h, 0.25, line_ids=["Gamma^0_01"])
     assert res[0].passed
 
@@ -487,7 +487,7 @@ def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
 
     monkeypatch.setattr(metrics.sp, "lambdify", counting)
     # an expression no other test compiles, so the memo cannot hold it
-    h = perturbation({"13": sp.Rational(17, 29) * RHO0 * RHOI * sp.sin(TH) ** 2})
+    h = PerturbationField({"13": sp.Rational(17, 29) * RHO0 * RHOI * sp.sin(TH) ** 2})
     mf = MetricField(0.3, h)
     ev = mf.at(*random_points(np.random.default_rng(2), 12, 0.3))
     tn.christoffel(ev)
