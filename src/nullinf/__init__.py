@@ -6,7 +6,7 @@ compactify
     Tortoise coordinate, chart transitions, boundary defining functions,
     the null coordinate frame and the rescaled-time fixed point.
 indexsets
-    Exact calculus of truncated polyhomogeneity index sets and the coupled
+    Exact calculus of truncated polyhomogeneity index sets and the joint
     index recursion for the boundary faces.
 metrics / tensors / leading_terms
     Metric fields in the double-null spherical splitting, closed-form

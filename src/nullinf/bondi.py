@@ -186,8 +186,12 @@ def area_radius(cut: SphereCut):
     return det**0.25
 
 
-def hawking_mass(metric: MetricField, u, r_coord, quad=(24, 48)):
-    """Hawking mass of the constant-radius cut of the outgoing cone."""
+def hawking_mass(metric: MetricField, u, r_coord, quad):
+    """Hawking mass of the constant-radius cut of the outgoing cone.
+
+    ``quad`` is the (theta, phi) node count of the sphere quadrature; the
+    cost grows with their product.
+    """
     th, ph, w = sphere_quadrature(*quad)
     s0 = max(2.5, 0.3 * (2.0 * r_coord + u))
     con = Congruence(metric, u, th, ph, s0=s0, tail_decades=7.5)

@@ -87,10 +87,13 @@ class GeodesicTrajectory:
         g = ev.g.reshape(self.x.shape[:-1] + (4, 4))
         return np.einsum("...mn,...m,...n->...", g, self.v, self.v)
 
-    def fitted_rates(self, m, window=(10.0, 1000.0)):
-        """Decay exponents of the velocity components against the affine scale."""
+    def fitted_rates(self, m):
+        """Decay exponents of the velocity components against the affine scale.
+
+        The fit window runs from 10 to 1000 times the first affine parameter.
+        """
         s = self.s / self.affine_scale
-        mask = (s >= window[0] * s[0]) & (s <= window[1] * s[0])
+        mask = (s >= 10.0 * s[0]) & (s <= 1000.0 * s[0])
         ls = np.log(s[mask])
         v = self.v * self.affine_scale
         tilde0 = np.abs(v[..., mask, 0] - (1.0 + 4.0 * m / s[mask]))

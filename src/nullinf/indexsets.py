@@ -297,7 +297,7 @@ def _least_fixed_point(step, start, cap: int, what: str):
 
 
 def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -> RecursionResult:
-    """Smallest index sets satisfying the coupled closure conditions.
+    """Smallest index sets satisfying the joint closure conditions.
 
     ``e00`` seeds the spatial-face set; the three radiation-face sets and
     the temporal-face set are grown from empty by simultaneous iteration of

@@ -469,7 +469,7 @@ def manufactured_suite():
     return fields
 
 
-def rate_saturating_field(weights: Weights | None = None):
+def rate_saturating_field():
     """Perturbation whose components saturate their decay classes.
 
     The long-range slot is built from the product of the two corner defining
@@ -478,7 +478,7 @@ def rate_saturating_field(weights: Weights | None = None):
     pick up velocity corrections at the class rates.  Every component has
     amplitude 1/20.
     """
-    w = weights or Weights(b0=0.45, bI=0.3, bI_prime=0.4, b_plus=-0.1)
+    w = Weights(b0=0.45, bI=0.3, bI_prime=0.4, b_plus=-0.1)
     amp = sp.Rational(1, 20)
     a0 = amp * RHO0 ** sp.nsimplify(w.b0)
     aI = RHOI ** sp.nsimplify(w.bI)

@@ -187,21 +187,6 @@ def solve_wave_mode(grid: CharacteristicGrid, forcing=None, data: BoundaryData |
 # -- the weak-null triangular system ----------------------------------------
 
 
-@dataclass
-class WeakNullSolution:
-    u0: ModeSolution
-    u1c: ModeSolution
-    u1: ModeSolution
-
-
-def _quadratic_source(sol: ModeSolution):
-    """rho^{-1} (d_1 u)^2 sampled on the core grid."""
-    rho0 = sol.grid.rho0[:, None]
-    rhoI = sol.grid.rhoI[None, :]
-    d1u = sol.d1()
-    return d1u**2 / (rho0 * rhoI)
-
-
 def _grid_interp(grid: CharacteristicGrid, table):
     """Nearest-node interpolant for grid-sampled sources, elementwise.
 
@@ -223,31 +208,6 @@ def _grid_interp(grid: CharacteristicGrid, table):
     return f
 
 
-def _plus_table(grid: CharacteristicGrid, base, table):
-    """The forcing ``base`` (a callable of (r0, rI), or None) plus the interpolant of ``table``."""
-    extra = _grid_interp(grid, table)
-    if base is None:
-        return extra
-    return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
-
-
-def solve_weak_null_system(
-    grid: CharacteristicGrid,
-    gamma,
-    forcing=(None, None, None),
-    couple=True,
-) -> WeakNullSolution:
-    """Sequential solve of the lower-triangular weak-null model system, from zero data."""
-    u0 = solve_damped_mode(grid, gamma, forcing[0])
-
-    def with_quadratic(base, source_sol):
-        return _plus_table(grid, base, _quadratic_source(source_sol)) if couple else base
-
-    u1c = solve_wave_mode(grid, with_quadratic(forcing[1], u0))
-    u1 = solve_wave_mode(grid, with_quadratic(forcing[2], u1c))
-    return WeakNullSolution(u0, u1c, u1)
-
-
 def newton_iterate(
     grid: CharacteristicGrid,
     gamma,
@@ -259,17 +219,27 @@ def newton_iterate(
     Starts from zero, with zero data, and solves the linearized triangular
     system at each step (the quadratic couplings are frozen at the previous
     iterate, so a step is two marches with modified sources; the damped u0
-    mode is linear and is solved once).  Returns the iterates and the
-    quadratic-convergence ratios against the final iterate.
+    mode is linear and is solved once).  The iteration stops at its fixed
+    point: once a sweep passes on the frozen pair of derivatives it was
+    given, every later sweep would march the same sources, so the remaining
+    steps repeat its iterate (the same object).  The coupling is nilpotent,
+    so this takes 3 sweeps for the triangular system (1 without forcing),
+    and the last iterate solves the full system.  Returns the ``steps``
+    iterates, their errors against the last one and the
+    quadratic-convergence ratios of those errors.
     """
     iterates = []
     sup_history = []
+    rho0 = grid.rho0[:, None]
+    rhoI = grid.rhoI[None, :]
 
     def linearized(base, a_prev, a_new):
-        """Source with the quadratic coupling frozen, from the derivatives d1 of the two solutions."""
-        rho0 = grid.rho0[:, None]
-        rhoI = grid.rhoI[None, :]
-        return _plus_table(grid, base, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
+        """The forcing ``base`` (a callable of (r0, rI), or None) plus the quadratic
+        coupling frozen, from the derivatives d1 of the two solutions."""
+        extra = _grid_interp(grid, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
+        if base is None:
+            return extra
+        return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
 
     u0 = solve_damped_mode(grid, gamma, forcing[0])
     a_u0 = u0.d1()
@@ -280,6 +250,7 @@ def newton_iterate(
         # each d1 is taken once; the old one and the source go as soon as they
         # are used, so keeping d1 adds nothing to the peak memory of the marches
         source = linearized(forcing[2], a_prev[1], a_u1c)
+        fixed = np.array_equal(a_prev[0], a_u0) and np.array_equal(a_prev[1], a_u1c)
         a_prev = (a_u0, a_u1c)
         u1 = solve_wave_mode(grid, source)
         del source
@@ -291,6 +262,9 @@ def newton_iterate(
             sup_history[-i - 1] > sup_history[-i - 2] * (1.0 + 1e-9) for i in range(3)
         ):
             raise RuntimeError("iteration diverging: sup norm grew for 3 consecutive steps")
+        if fixed:
+            iterates += [current] * (steps - k - 1)
+            break
 
     ref = iterates[-1]
     errors = []
@@ -366,7 +340,7 @@ def fit_leading_terms(rhoI, values, model="const") -> LeadingFit:
 
 
 def damping_block(gamma1, gamma2) -> np.ndarray:
-    """Coupling matrix of the decoupled damped block; spectrum {2 g1, g1, g2}."""
+    """Coupling matrix of the damped gauge block, which no other slot feeds; spectrum {2 g1, g1, g2}."""
     return np.array(
         [
             [2.0 * gamma1, 0.0, 0.0],

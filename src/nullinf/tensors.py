@@ -148,7 +148,6 @@ class BFrameChart:
 
     coords: tuple
     metric: sp.Matrix
-    name: str = "chart"
 
 
 def ds_static_chart() -> BFrameChart:
@@ -160,7 +159,7 @@ def ds_static_chart() -> BFrameChart:
     g[1, 1] = -1
     g[2, 2] = -(Rr**2)
     g[3, 3] = -(Rr**2) * sp.sin(th) ** 2
-    return BFrameChart((rp, Rr, th, ph), g, "ds-static")
+    return BFrameChart((rp, Rr, th, ph), g)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ A function's locals include those of the functions nested in it, so a value
 handed to a closure counts as read.  Names starting with ``_`` are exempt.
 
 No unused settings either: every default of a parameter or of a class field
-is passed by some call in the package, the tests or the benchmark, and every
-annotated class field is read somewhere.  Calls are matched by the name of
-the function, method or class only, so a call of any function of the same
-name counts.
+is passed by some call in the package, the tests or the benchmark, no
+default is overridden with the same constant expression by every call, and
+every annotated class field is read somewhere.  Calls are matched by the
+name of the function, method or class only, so a call of any function of
+the same name counts.
 """
 
 import ast
@@ -62,14 +63,34 @@ def _called_name(call):
 
 
 def _calls(trees):
-    """Called name -> [(number of positional arguments, keyword names)]; a starred argument passes all."""
+    """Called name -> the calls of it."""
     out = {}
     for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Call) and (name := _called_name(n)):
-                npos = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
-                out.setdefault(name, []).append((npos, {k.arg for k in n.keywords}))
+                out.setdefault(name, []).append(n)
     return out
+
+
+def _passed(call, position, name):
+    """The expression ``call`` passes for parameter ``name`` at ``position``.
+
+    None if it passes none; ``...`` if a starred argument or ``**`` may pass it.
+    """
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return ...
+    if position < len(call.args):
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def _constant(expr):
+    """Whether ``expr`` reads no variable: every name in it is the callee of a call.
+
+    ``Weights(0.45, 0.3)`` is constant; ``rng.normal()`` reads ``rng``.
+    """
+    callees = {id(c.func) for c in ast.walk(expr) if isinstance(c, ast.Call)}
+    return not any(isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees for n in ast.walk(expr))
 
 
 def _fields(cls):
@@ -81,15 +102,14 @@ def _parameters(fn, called, qualname, skip):
     a = fn.args
     positional = (a.posonlyargs + a.args)[skip:]
     first = len(positional) - len(a.defaults)
-    for i, arg in enumerate(positional[first:], first):
-        yield called, f"{qualname}({arg.arg})", i, arg.arg
+    for i, arg in enumerate(positional):
+        yield called, f"{qualname}({arg.arg})", i, arg.arg, i >= first
     for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-        if default is not None:
-            yield called, f"{qualname}({arg.arg})", math.inf, arg.arg
+        yield called, f"{qualname}({arg.arg})", math.inf, arg.arg, default is not None
 
 
-def _defaults(tree):
-    """(called name, qualified name, position, parameter) of each default in one module.
+def _all_parameters(tree):
+    """(called name, qualified name, position, parameter, has a default) of each parameter in one module.
 
     A class is called by its name, both for its ``__init__`` and for the fields of a
     dataclass or NamedTuple; a method's position does not count ``self``.
@@ -98,8 +118,7 @@ def _defaults(tree):
     methods = set()
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         for i, s in enumerate(_fields(cls)):
-            if s.value is not None:
-                yield cls.name, f"{cls.name}.{s.target.id}", i, s.target.id
+            yield cls.name, f"{cls.name}.{s.target.id}", i, s.target.id, s.value is not None
         for fn in (f for f in cls.body if isinstance(f, functions)):
             methods.add(fn)
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
@@ -115,8 +134,25 @@ def unset_defaults(modules, callers):
     calls = _calls(callers)
     return [f"{stem}.{qualname}"
             for stem, tree in modules.items()
-            for called, qualname, position, name in _defaults(tree)
-            if not any(None in kws or name in kws or npos > position for npos, kws in calls.get(called, ()))]
+            for called, qualname, position, name, default in _all_parameters(tree)
+            if default and all(_passed(c, position, name) is None for c in calls.get(called, ()))]
+
+
+def one_value_all_parameters(modules, callers):
+    """``module.name`` of each default in ``modules`` that every call in ``callers`` overrides
+    with the same constant expression: a setting with one value in use.
+
+    A parameter without a default is an input, not a setting, and is not checked.
+    """
+    calls = _calls(callers)
+    out = []
+    for stem, tree in modules.items():
+        for called, qualname, position, name, default in _all_parameters(tree):
+            passed = [_passed(c, position, name) for c in calls.get(called, ())]
+            if (default and passed and all(isinstance(e, ast.expr) and _constant(e) for e in passed)
+                    and len({ast.dump(e) for e in passed}) == 1):
+                out.append(f"{stem}.{qualname}")
+    return out
 
 
 def unread_fields(modules, readers):
@@ -161,12 +197,21 @@ def test_checker_flags_a_dead_local_and_an_unused_import():
     assert unused_imports(tree) == [(1, "os")]
 
 
-def test_every_default_is_passed_and_every_field_is_read():
+def _package_and_callers():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
     callers = [*modules.values(), *(ast.parse(p.read_text(), filename=str(p))
                                     for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py")))]
+    return modules, callers
+
+
+def test_every_default_is_passed_and_every_field_is_read():
+    modules, callers = _package_and_callers()
     assert unset_defaults(modules, callers) == []
     assert unread_fields(modules, callers) == []
+
+
+def test_no_setting_has_one_value_in_use():
+    assert one_value_all_parameters(*_package_and_callers()) == []
 
 
 def test_checker_flags_an_unset_default_and_an_unread_field():
@@ -180,3 +225,22 @@ def test_checker_flags_an_unset_default_and_an_unread_field():
     callers = [module, ast.parse("P(1, 2)\nK(1).at(0, 1)\nf(0, z=3)\nprint(P(0).a + P(0).b)\n")]
     assert unset_defaults({"m": module}, callers) == ["m.P.c", "m.K.__init__(v)", "m.K.at(z)", "m.f(y)"]
     assert unread_fields({"m": module}, callers) == ["m.P.c"]
+
+
+def test_checker_flags_a_setting_with_one_value_in_use():
+    module = ast.parse(
+        "class K:\n    def at(self, s, q=1.0):\n        return s\n\n"
+        "def f(x, y=None, z=(1, 2), *, w=0, v=1, t=2):\n    return x\n\n"
+        "def g(a=1):\n    return a\n\n"
+        "def h(p=0):\n    return p\n"
+    )
+    callers = [module, ast.parse(
+        "f(1, W(0.45, -0.1), (3, 4), w=n, v=2, t=3)\n"
+        "f(1, W(0.45, -0.1), z=(3, 4), w=1, t=4)\n"
+        "K().at(0, 2.0)\nk.at(1, q=2.0)\n"
+        "g(2)\ng(*xs)\n"
+        "h(rng.normal())\nh(rng.normal())\n"
+    )]
+    # x is an input; w reads a variable once, v keeps its default once, t has two values,
+    # g may be passed a by the starred call, and h's value is a method call on a variable
+    assert one_value_all_parameters({"m": module}, callers) == ["m.K.at(q)", "m.f(y)", "m.f(z)"]

@@ -83,12 +83,12 @@ def test_x0_shift_converges_with_log_rate(schwarzschild_traj):
 
 
 def test_fitted_rates_in_windows():
-    w = Weights(0.45, 0.3, 0.4, -0.1)
-    h = rate_saturating_field(w)
+    h = rate_saturating_field()
+    w = h.weights
     gp = MetricField(0.1, h)
     traj = integrate_radial_null_geodesic(gp, -30.0, np.array([1.1, 0.7]), s0=30.0)
     assert np.max(np.abs(traj.null_norm(gp))) < 1e-8
-    rates = traj.fitted_rates(0.1, window=(10.0, 1000.0))
+    rates = traj.fitted_rates(0.1)
     # open windows; fitted values at the endpoints are accepted with margin
     assert 0.0 < rates["alpha0"] <= w.bI + 0.15
     assert 0.0 < rates["alpha1"] <= w.bI_prime + 0.1
@@ -153,7 +153,7 @@ def test_retarded_time_derivative_matches_long_range_term():
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_one_connection_evaluation_per_sweep(monkeypatch, perturbed):
     # the returned acceleration reuses the last sweep's connection at the final x
-    g = MetricField(0.1, rate_saturating_field(Weights(0.45, 0.3, 0.4, -0.1)) if perturbed else None)
+    g = MetricField(0.1, rate_saturating_field() if perturbed else None)
     calls = []
 
     def counted(metric, x):

@@ -157,32 +157,35 @@ def toy_setup():
     return f0, f1
 
 
+def coupled(grid, gamma, forcing=(None, None, None)):
+    """(u0, u1c, u1) of the coupled system: the last iterate of the global iteration."""
+    return mp.newton_iterate(grid, gamma, forcing)[0][-1]
+
+
 def test_toy_system_zero_data_is_zero():
-    sol = mp.solve_weak_null_system(GRID, 0.5)
-    for comp in (sol.u0, sol.u1c, sol.u1):
+    for comp in coupled(GRID, 0.5):
         assert np.all(comp.u == 0.0)
 
 
 def test_toy_system_log_coefficient():
     f0, f1 = toy_setup()
-    sol = mp.solve_weak_null_system(GRID, 0.5, forcing=(f0, f1, None))
-    fit = sol.u1.leading_fit("log+const", rho0_value=0.05)
+    u1 = coupled(GRID, 0.5, (f0, f1, None))[2]
+    fit = u1.leading_fit("log+const", rho0_value=0.05)
     assert abs(fit.c_log) > 10.0 * fit.residual
     # fine-grid reference confirms the log term is resolved
-    ref = mp.solve_weak_null_system(GRID.refined(2), 0.5, forcing=(f0, f1, None))
-    fit_ref = ref.u1.leading_fit("log+const", rho0_value=0.05)
+    ref = coupled(GRID.refined(2), 0.5, (f0, f1, None))[2]
+    fit_ref = ref.leading_fit("log+const", rho0_value=0.05)
     assert fit.c_log == pytest.approx(fit_ref.c_log, rel=0.02)
-    # switching the quadratic coupling off removes the log
-    sol_off = mp.solve_weak_null_system(GRID, 0.5, forcing=(f0, f1, None), couple=False)
-    fit_off = sol_off.u1.leading_fit("log+const", rho0_value=0.05)
+    # without the quadratic coupling u1 is the plain mode solve of its own (zero) forcing: no log
+    fit_off = mp.solve_wave_mode(GRID, None).leading_fit("log+const", rho0_value=0.05)
     assert abs(fit_off.c_log) <= max(fit_off.residual, 1e-14)
 
 
 def test_toy_system_u1c_remainder_exponent():
     f0, _ = toy_setup()
     gamma = 0.5
-    sol = mp.solve_weak_null_system(GRID, gamma, forcing=(f0, None, None))
-    fit = sol.u1c.leading_fit("const", rho0_value=0.05)
+    u1c = coupled(GRID, gamma, (f0, None, None))[1]
+    fit = u1c.leading_fit("const", rho0_value=0.05)
     lo = 0.9 * min(2 * gamma, 1.0) - 0.05
     hi = min(2 * gamma, 1.0) + 0.05
     assert lo <= fit.exponent <= hi
@@ -190,8 +193,8 @@ def test_toy_system_u1c_remainder_exponent():
 
 def test_toy_system_u0_decays_like_gamma():
     f0, _ = toy_setup()
-    sol = mp.solve_weak_null_system(GRID, 0.5, forcing=(f0, None, None))
-    fit = sol.u0.leading_fit("const", rho0_value=0.05)
+    u0 = coupled(GRID, 0.5, (f0, None, None))[0]
+    fit = u0.leading_fit("const", rho0_value=0.05)
     assert 0.44 <= fit.exponent <= 0.56
 
 
@@ -204,8 +207,8 @@ def test_newton_linear_case_converges_in_one_step():
         GRID, 0.5, forcing=(f, None, None), steps=4
     )
     # without quadratic terms active (u0 source only, no coupling beyond it)
-    direct = mp.solve_weak_null_system(GRID, 0.5, forcing=(f, None, None))
-    assert np.max(np.abs(iterates[-1][0].u - direct.u0.u)) == 0.0
+    direct = mp.solve_damped_mode(GRID, 0.5, f)
+    assert np.max(np.abs(iterates[-1][0].u - direct.u)) == 0.0
 
 
 def test_newton_quadratic_convergence_and_leading_stability():
@@ -236,11 +239,78 @@ def test_newton_solves_the_linear_u0_mode_once(monkeypatch):
 
     monkeypatch.setattr(mp, "solve_damped_mode", counted)
     f0, f1 = toy_setup()
-    steps = 3
-    iterates, _, _ = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=steps)
-    assert len(calls) == 1 + 2 * steps
-    assert calls[0] == 0.5 and calls[1:] == [0.0] * (2 * steps)
-    assert all(it[0] is iterates[0][0] for it in iterates)
+    for steps in (3, 8):
+        calls.clear()
+        iterates, _, _ = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=steps)
+        # the sweeps after the third repeat the third, so they are not marched
+        sweeps = min(steps, 3)
+        assert len(calls) == 1 + 2 * sweeps
+        assert calls[0] == 0.5 and calls[1:] == [0.0] * (2 * sweeps)
+        assert all(it[0] is iterates[0][0] for it in iterates)
+
+
+def newton_every_sweep(grid, gamma, forcing, steps):
+    """The global iteration marching every one of its sweeps: the reference."""
+    rho0 = grid.rho0[:, None]
+    rhoI = grid.rhoI[None, :]
+
+    def linearized(base, a_prev, a_new):
+        extra = mp._grid_interp(grid, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
+        if base is None:
+            return extra
+        return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
+
+    u0 = mp.solve_damped_mode(grid, gamma, forcing[0])
+    a_u0 = u0.d1()
+    a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2
+    iterates = []
+    for _ in range(steps):
+        u1c = mp.solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0))
+        a_u1c = u1c.d1()
+        u1 = mp.solve_wave_mode(grid, linearized(forcing[2], a_prev[1], a_u1c))
+        a_prev = (a_u0, a_u1c)
+        iterates.append((u0, u1c, u1))
+    errors = [max(float(np.max(np.abs(it[c].u - iterates[-1][c].u))) for c in range(3)) for it in iterates]
+    ratios = [0.0 if e == 0.0 else e1 / e**2 for e, e1 in zip(errors, errors[1:])]
+    return iterates, errors, ratios
+
+
+def forcing_patterns():
+    f0, f1 = toy_setup()
+    f2 = lambda r0, rI: -log_bump(5e-2, 0.4)(r0) * compact_log_bump(3e-3)(rI)
+    return {
+        "toy": (f0, f1, None),
+        "zero": (None, None, None),
+        "u0-only": (f0, None, None),
+        "all-three": (f0, f1, f2),
+    }
+
+
+@pytest.mark.parametrize("name", list(forcing_patterns()))
+def test_newton_matches_the_every_sweep_reference(name):
+    forcing = forcing_patterns()[name]
+    iterates, errors, ratios = mp.newton_iterate(GRID, 0.5, forcing, steps=8)
+    ref = newton_every_sweep(GRID, 0.5, forcing, steps=8)
+    assert errors == ref[1] and ratios == ref[2]
+    for step, ref_step in zip(iterates, ref[0], strict=True):
+        for sol, ref_sol in zip(step, ref_step, strict=True):
+            assert np.array_equal(sol.u, ref_sol.u) and np.array_equal(sol.w, ref_sol.w)
+    # the nilpotent coupling is exhausted after three sweeps
+    assert all(it is iterates[2] for it in iterates[2:])
+
+
+@pytest.mark.parametrize("name, marches", [("toy", 7), ("zero", 3)])
+def test_newton_stops_marching_at_its_fixed_point(monkeypatch, name, marches):
+    gammas = []
+    march = mp._march
+
+    def counted(*args):
+        gammas.append(args[1])
+        return march(*args)
+
+    monkeypatch.setattr(mp, "_march", counted)
+    mp.newton_iterate(GRID, 0.5, forcing_patterns()[name], steps=8)
+    assert gammas == [0.5] + [0.0] * (marches - 1)
 
 
 # -- the march against the column-loop reference ---------------------------------------
