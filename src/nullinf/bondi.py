@@ -365,60 +365,45 @@ def bondi_mass_from_data(log_coeff, h_sphere, m):
 # -- static scattering solutions ----------------------------------------------
 
 
-def scattering_solution(ell, R):
-    """Closed-form static mode solutions on the temporal face."""
+_R = sp.Symbol("R", positive=True)
+_LOG = sp.log((1 - _R) / (1 + _R))
+#: closed-form static mode solutions on the temporal face, for ell = 0, 1, 2, in R
+SCATTERING_SOLUTIONS = (
+    _LOG / _R,
+    _LOG / _R**2 + 2 / _R,
+    (3 - _R**2) / (2 * _R**3) * _LOG + 3 / _R**2,
+)
+
+
+def _static_mode(ell):
+    if ell not in (0, 1, 2):
+        raise ValueError("modes 0, 1, 2 are implemented")
+    return SCATTERING_SOLUTIONS[ell]
+
+
+def _on_static_chart(expr, R):
+    """``expr`` compiled and evaluated at ``R``, which must lie in 0 < R < 1."""
     R = np.asarray(R, dtype=float)
     if np.any((R <= 0) | (R >= 1)):
         raise ValueError("the static chart needs 0 < R < 1")
     if np.any(R > 1 - 1e-6):
         warnings.warn("evaluating a static solution within 1e-6 of the pole")
-    L = np.log((1.0 - R) / (1.0 + R))
-    if ell == 0:
-        return L / R
-    if ell == 1:
-        return L / R**2 + 2.0 / R
-    if ell == 2:
-        return (3.0 - R**2) / (2.0 * R**3) * L + 3.0 / R**2
-    raise ValueError("modes 0, 1, 2 are implemented")
+    return compile_fields((_R,), [expr])(R)[..., 0]
+
+
+def scattering_solution(ell, R):
+    """Closed-form static mode solutions on the temporal face."""
+    return _on_static_chart(_static_mode(ell), R)
 
 
 def scattering_operator_residual(ell, R):
-    """Residual of the static mode operator on the closed form, by differences of step 1e-3."""
-    h = 1e-3
-
-    def u(RR_):
-        return scattering_solution(ell, RR_)
-
-    R = float(R)
-    u0 = u(R)
-
-    def flux(RR_):
-        # R^2 (1 - R^2) du/dR by a 4th-order stencil around RR_
-        q = np.array([-2, -1, 1, 2]) * h + RR_
-        du = (u(q[0]) - 8 * u(q[1]) + 8 * u(q[2]) - u(q[3])) / (12 * h)
-        return RR_**2 * (1 - RR_**2) * du
-
-    dflux = (flux(R - 2 * h) - 8 * flux(R - h) + 8 * flux(R + h) - flux(R + 2 * h)) / (12 * h)
-    val = -dflux / R**2 + ell * (ell + 1) / R**2 * u0 + 2.0 * u0
-    return abs(val)
+    """|static mode operator applied to the closed form| at R, differentiated exactly."""
+    u = _static_mode(ell)
+    op = -sp.diff(_R**2 * (1 - _R**2) * sp.diff(u, _R), _R) / _R**2 + ell * (ell + 1) / _R**2 * u + 2 * u
+    return float(abs(_on_static_chart(op, R)))
 
 
 def scattering_limit_combination():
-    """Boundary limit of the quarter/half/quarter combination, extrapolated.
-
-    The combination has an (1-R) log(1-R) approach to its limit; a
-    three-point solve at 1 - R = 1e-3, 1e-4, 1e-5 in (eps, eps log eps)
-    removes both terms.
-    """
-    eps = np.array([1e-3, 1e-4, 1e-5])
-    vals = np.array(
-        [
-            0.25 * scattering_solution(0, 1 - e)
-            - 0.5 * scattering_solution(1, 1 - e)
-            + 0.25 * scattering_solution(2, 1 - e)
-            for e in eps
-        ]
-    )
-    A = np.stack([np.ones_like(eps), eps * np.log(eps), eps], axis=1)
-    coef = np.linalg.solve(A, vals)
-    return float(coef[0])
+    """Exact limit R -> 1- of the quarter/half/quarter combination, in which the logarithms cancel."""
+    u0, u1, u2 = SCATTERING_SOLUTIONS
+    return float(sp.limit((u0 - 2 * u1 + u2) / 4, _R, 1, "-"))

@@ -194,6 +194,21 @@ RELATIONS = {
         # the leading-term fits square residuals of the solution, which is linear in
         # the amplitude; 1e150 squared stays 1e8 below the largest float
         ("abs(forcing_amplitude) <= 1e150", lambda v: abs(v["forcing_amplitude"]) <= 1e150),
+        # time and memory grow with the cells of the grid: one run takes 6.3 s and
+        # 257 MB at 263,169 cells, 10 s and 447 MB at 525,625, 22 s and 827 MB at
+        # 1,050,625 (2-vCPU host); the forcing alone takes 16 bytes a cell.  A span
+        # eps / rho_min too large for a float has no finite count of cells
+        ("cells(eps, rho_min, points_per_decade) <= 1.1e6",
+         lambda v: math.isfinite(v["eps"] / v["rho_min"]) and _model_grid(v).cells <= 1.1e6),
+    ],
+    "geodesics": [
+        # the tail integrand squares the affine parameter up to s0 * 1e7
+        ("s0 <= 1e147", lambda v: v["s0"] <= 1e147),
+        # the end panel of the tail integrals truncates 4 mass / (s0 * 1e7), which
+        # warns above 1e-8; the bound keeps it at 8e-9
+        ("mass <= 0.02 s0", lambda v: v["mass"] <= 0.02 * v["s0"]),
+        # the angular directions of the chart are singular at the poles
+        ("0 < theta < pi", lambda v: 0.0 < v["theta"] < math.pi),
     ],
     "bondi": [
         ("u_start < u_end", lambda v: v["u_start"] < v["u_end"]),
@@ -293,16 +308,20 @@ def run_index_sets(opts, outdir: Path) -> RunReport:
     return report
 
 
-def run_model_pde(opts, outdir: Path) -> RunReport:
-    report = RunReport("model-pde")
-    gamma = opts["gamma"]
-    grid = mp.CharacteristicGrid(
+def _model_grid(opts):
+    return mp.CharacteristicGrid(
         eps=opts["eps"],
         rho0_min=opts["rho_min"],
         rhoI_min=opts["rho_min"],
         points_per_decade=opts["points_per_decade"],
         ell=opts["ell"],
     )
+
+
+def run_model_pde(opts, outdir: Path) -> RunReport:
+    report = RunReport("model-pde")
+    gamma = opts["gamma"]
+    grid = _model_grid(opts)
     amp = opts["forcing_amplitude"]
     center = opts["forcing_center"]
 

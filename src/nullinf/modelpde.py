@@ -50,6 +50,11 @@ class CharacteristicGrid:
         return int(n) + 1
 
     @property
+    def cells(self) -> int:
+        """Nodes of the core window: rho0 points times rhoI points."""
+        return self._count(self.rho0_min) * self._count(self.rhoI_min)
+
+    @property
     def rho0(self) -> np.ndarray:
         n = self._count(self.rho0_min)
         return self.eps * np.exp(self.h * (np.arange(n) - (n - 1)))
@@ -361,8 +366,6 @@ def toy_block(gamma, d1_u1c_leading) -> np.ndarray:
     )
 
 
-#: slots of the 7-component splitting used by the full coupling matrices
-SPLITTING_7 = ("qq", "qs", "qa", "ss", "sa", "sph-trace", "sph-tracefree")
 #: slots selected by the projection onto the components driven by the gauge
 PI0_SLOTS = (0, 2, 5)
 PI11_SLOT = 3
@@ -372,9 +375,12 @@ PI11C_SLOTS = (1, 4, 6)
 def full_coupling_matrices(h, m, gamma1, gamma2):
     """The 7x7 first- and zeroth-order coupling matrices, entries as callables.
 
-    Entries are scalar fields of (q, s, theta, phi); tensorial slots report
-    their theta-theta representative.  Stored for inspection and structure
-    tests, not used by the solvers.
+    The slots of the 7-component splitting are, in order: qq, qs, qa, ss,
+    sa, sph-trace and sph-tracefree.  Entries are scalar fields of
+    (q, s, theta, phi); tensorial slots report their theta-theta
+    representative.  Each callable returns the broadcast shape of its point
+    followed by (7, 7).  Stored for inspection and structure tests, not used
+    by the solvers.
     """
     # imported here, not at the top: the characteristic solvers load no sympy
     import sympy as sp
@@ -412,7 +418,8 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
 
         def evaluate(q, s, theta, phi):
             r = inverse_tortoise(0.5 * (q - s), m)
-            return fn(r, q, s, theta, phi).reshape(7, 7)
+            vals = fn(r, q, s, theta, phi)
+            return vals.reshape(vals.shape[:-1] + (7, 7))
 
         return evaluate
 

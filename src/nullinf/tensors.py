@@ -10,6 +10,7 @@ compiled once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -297,57 +298,33 @@ def product_rule_residual(chart: BFrameChart, V, f, points, params=(), param_val
 # -- de Sitter conjugation and indicial roots --------------------------------
 
 
-def _shifted(fn, args, axis, k, h):
-    shifted = list(args)
-    shifted[axis] = args[axis] + k * h
-    return fn(*shifted)
+_T, _X = sp.Symbol("t"), sp.symbols("x1:4")
 
 
-def _second_derivative(fn, args, axis, h):
-    # fourth-order central stencil
-    f = [_shifted(fn, args, axis, k, h) for k in (-2, -1, 0, 1, 2)]
-    return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h**2)
+def _box(f):
+    """The negative d'Alembertian Lap - d_t^2 of flat spacetime, exact."""
+    return sum(sp.diff(f, xi, 2) for xi in _X) - sp.diff(f, _T, 2)
 
 
-def _first_derivative(fn, args, axis, h):
-    f = [_shifted(fn, args, axis, k, h) for k in (-2, -1, 1, 2)]
-    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-
-
-def _richardson(op, h):
-    # both stencils are O(h^4); one extrapolation step removes that order
-    return (16.0 * op(h / 2.0) - op(h)) / 15.0
+@lru_cache(maxsize=256)
+def _conjugation_residual(phi):
+    p = sp.sympify(phi(_T, *_X))
+    lhs = _T**3 * _box(p / _T)
+    rhs = 2 * _T * sp.diff(p, _T) + _T**2 * _box(p) - 2 * p
+    return compile_fields((_T, *_X), [lhs - rhs])
 
 
 def desitter_conjugation_check(phi, t, x):
-    """|t^3 Box(phi/t) - (Box_dS - 2) phi| at (t, x), both sides by finite differences.
+    """|t^3 Box(phi/t) - (Box_dS - 2) phi| at (t, x), both sides by exact differentiation.
 
     Box here is the negative d'Alembertian; the left side differentiates the
     rescaled function phi/t on flat spacetime, the right side applies the
     hyperbolic-slicing operator 2 t d_t - t^2 d_t^2 + t^2 Lap directly to phi.
+    ``phi(t, x1, x2, x3)`` is called once on sympy symbols, so it must be
+    built from arithmetic and sympy functions; its residual is compiled once
+    per callable.
     """
-    t = float(t)
-    x = [float(xi) for xi in x]
-    args = [t] + x
-    step = 0.02 * max(abs(t), 1.0)  # balances stencil truncation against roundoff
-
-    def u(tt, x1, x2, x3):
-        return phi(tt, x1, x2, x3) / tt
-
-    def lhs(h):
-        lap = sum(_second_derivative(u, args, i, h) for i in (1, 2, 3))
-        return t**3 * (lap - _second_derivative(u, args, 0, h))
-
-    def rhs(h):
-        lap = sum(_second_derivative(phi, args, i, h) for i in (1, 2, 3))
-        return (
-            2.0 * t * _first_derivative(phi, args, 0, h)
-            - t**2 * _second_derivative(phi, args, 0, h)
-            + t**2 * lap
-            - 2.0 * phi(*args)
-        )
-
-    return abs(_richardson(lhs, step) - _richardson(rhs, step))
+    return float(abs(_conjugation_residual(phi)(float(t), *(float(xi) for xi in x))[0]))
 
 
 def indicial_polynomial(sigma):
@@ -357,8 +334,8 @@ def indicial_polynomial(sigma):
 
 def indicial_roots_dS():
     """Roots of the indicial polynomial at the temporal face, sorted."""
-    roots = np.roots([-1.0, 3.0, -2.0])
-    return tuple(sorted(float(np.real(r)) for r in roots))
+    sigma = sp.Symbol("sigma")
+    return tuple(sorted(float(r) for r in sp.solve(indicial_polynomial(sigma), sigma)))
 
 
 # -- leading (1,1) residual of the gauged field equations ---------------------

@@ -339,6 +339,25 @@ def test_scattering_small_radius_limit():
     assert bd.scattering_solution(0, 1e-5) == pytest.approx(-2.0, abs=1e-6)
 
 
+def _numpy_scattering_solution(ell, R):
+    """The static mode solutions written out in numpy: the reference for the compiled closed forms."""
+    L = np.log((1.0 - R) / (1.0 + R))
+    return [L / R, L / R**2 + 2.0 / R, (3.0 - R**2) / (2.0 * R**3) * L + 3.0 / R**2][ell]
+
+
+def test_scattering_solutions_match_the_numpy_closed_forms():
+    R = np.concatenate([np.linspace(1e-3, 0.999, 9991), 1.0 - np.geomspace(1e-3, 1e-7, 41)])
+    with pytest.warns(UserWarning, match="pole"):
+        got = [bd.scattering_solution(ell, R) for ell in range(3)]
+    for ell in (0, 1):
+        assert np.array_equal(got[ell], _numpy_scattering_solution(ell, R))
+    # for ell = 2 two terms near 3 / R^2 cancel to about -4 R^2 / 15, so round-off
+    # grows as R falls; the largest difference on this grid is 2.1e-11, at R = 0.1
+    want = _numpy_scattering_solution(2, R)
+    far = R >= 0.1
+    assert np.max(np.abs(got[2][far] - want[far]) / np.abs(want[far])) <= 2.2e-11
+
+
 def test_scattering_pole_warning():
     with pytest.warns(UserWarning):
         bd.scattering_solution(0, 1.0 - 1e-8)

@@ -134,6 +134,22 @@ BAD_VALUES = {
         "config error: bondi: need news_amplitude**2 * max(news_width, 1) <= 1e300; got news_amplitude = 1e200, news_width = 1.0\n",
     ("bondi", "mass = 0.1\nnews_amplitude = 1e150\nnews_width = 1e9\nu_start = -1e11\nu_end = 1e11\n"):
         "config error: bondi: need news_amplitude**2 * max(news_width, 1) <= 1e300; got news_amplitude = 1e150, news_width = 1e9\n",
+    ("geodesics", "mass = 1e300\n"):
+        "config error: geodesics: need mass <= 0.02 s0; got mass = 1e300, s0 = 20.0\n",
+    ("geodesics", "mass = 0.5\n"):
+        "config error: geodesics: need mass <= 0.02 s0; got mass = 0.5, s0 = 20.0\n",
+    ("geodesics", "mass = 0.1\ns0 = 1e300\n"):
+        "config error: geodesics: need s0 <= 1e147; got s0 = 1e300\n",
+    ("geodesics", "mass = 0.1\ntheta = 0\n"):
+        "config error: geodesics: need 0 < theta < pi; got theta = 0\n",
+    ("geodesics", "mass = 0.1\ntheta = 3.141592653589793\n"):
+        "config error: geodesics: need 0 < theta < pi; got theta = 3.141592653589793\n",
+    ("model-pde", "eps = 1e300\n"):
+        "config error: model-pde: need cells(eps, rho_min, points_per_decade) <= 1.1e6; got eps = 1e300, rho_min = 1e-5, points_per_decade = 16\n",
+    ("model-pde", "eps = 1e308\nrho_min = 1e-8\n"):
+        "config error: model-pde: need cells(eps, rho_min, points_per_decade) <= 1.1e6; got eps = 1e308, rho_min = 1e-8, points_per_decade = 16\n",
+    ("model-pde", "rho_min = 1e-8\npoints_per_decade = 4000\n"):
+        "config error: model-pde: need cells(eps, rho_min, points_per_decade) <= 1.1e6; got eps = 0.1, rho_min = 1e-8, points_per_decade = 4000\n",
     ("geodesics", "mass = 0.1\nmass = 0.2\n"):
         "config error: {cfg}:2: repeated key mass\n",
     ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
@@ -240,12 +256,40 @@ def test_model_pde_without_fitted_exponent_is_a_failing_row(tmp_path, capsys, te
     # the budget residual is round-off of values near 1e299, so its tolerance follows
     ("bondi", "mass = 0.1\nnews_amplitude = 1e150\nbudget_tol = 1e290\n"),
     ("bondi", "mass = 0.1\nnews_amplitude = 1e145\nnews_width = 1e10\nu_start = -2e11\nu_end = 2e11\nbudget_tol = 1e290\n"),
+    # the geodesics relations at their bounds
+    ("geodesics", "mass = 0.4\n"),
+    ("geodesics", "mass = 2e145\ns0 = 1e147\n"),
+    ("geodesics", "mass = 0\ns0 = 1e-300\n"),
+    ("geodesics", "mass = 0.1\ntheta = 3.1415926535897927\n"),
+    ("geodesics", "mass = 0.1\ntheta = 1e-300\n"),
 ])
 def test_amplitude_at_its_bound_runs_without_runtime_warnings(tmp_path, capsys, subcommand, text):
+    # any warning, such as the geodesics tail-truncation warning, would reach stderr outside pytest
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error")
         assert cli.run(subcommand, write_config(tmp_path, text), tmp_path / "out") == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text", ["eps = 1e300\n", "rho_min = 1e-8\npoints_per_decade = 4000\n"])
+def test_oversized_grid_is_rejected_before_any_allocation(tmp_path, text):
+    # the child gets 2 GiB of address space: one that reached the solver would ask for more
+    # (11.7 GiB for 28001 x 56001 forcing values) and end in MemoryError, not exhaust the host
+    limit = 2 * 2**30
+    cfg = write_config(tmp_path, text)
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from nullinf.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", code,
+         "model-pde", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (child.returncode, child.stderr) == (2, BAD_VALUES["model-pde", text])
 
 
 def test_failed_check_exits_1(tmp_path):
@@ -264,8 +308,9 @@ LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
     "index-sets: relations: truncation <= 12\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
-    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150\n"
+    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
+    "geodesics: relations: s0 <= 1e147; mass <= 0.02 s0; 0 < theta < pi\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
     "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"

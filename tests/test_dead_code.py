@@ -6,7 +6,8 @@ handed to a closure counts as read.  Names starting with ``_`` are exempt.
 No unused settings either: every default of a parameter or of a class field
 is passed by some call in the package, the tests or the benchmark, no
 default is overridden with the same constant expression by every call, and
-every annotated class field is read somewhere.  Calls are matched by the
+every annotated class field is read somewhere.  Every name bound at the top
+level of a module is loaded or imported somewhere.  Calls are matched by the
 name of the function, method or class only, so a call of any function of
 the same name counts.
 """
@@ -165,6 +166,31 @@ def unread_fields(modules, readers):
             for s in _fields(cls) if s.target.id not in read]
 
 
+def unread_module_names(modules, readers):
+    """``module.name`` of each name bound at the top level of ``modules`` that no file in ``readers``
+    loads, as a name or an attribute, or imports by name; dunder names are exempt."""
+    used = set()
+    for tree in readers:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.alias):
+                used.add(n.name)
+            elif isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                used.add(n.id if isinstance(n, ast.Name) else n.attr)
+    out = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [f"{stem}.{name}" for name in bound
+                    if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -208,6 +234,22 @@ def test_every_default_is_passed_and_every_field_is_read():
     modules, callers = _package_and_callers()
     assert unset_defaults(modules, callers) == []
     assert unread_fields(modules, callers) == []
+
+
+def test_every_module_level_name_is_used():
+    assert unread_module_names(*_package_and_callers()) == []
+
+
+def test_checker_flags_an_unread_module_level_name():
+    module = ast.parse(
+        "import os\n__all__ = []\nA, (B, C) = 1, (2, 3)\nD: int = 4\nE = 5\n\n"
+        "def f():\n    return A\n\n"
+        "def g():\n    return os\n\n"
+        "class K:\n    pass\n"
+    )
+    callers = [module, ast.parse("from m import g\nimport m\nprint(m.B + m.f())\n")]
+    # A is read in its own module, B as an attribute, g by import; os and __all__ are not checked
+    assert unread_module_names({"m": module}, callers) == ["m.C", "m.D", "m.E", "m.K"]
 
 
 def test_no_setting_has_one_value_in_use():

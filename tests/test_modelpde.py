@@ -490,3 +490,15 @@ def test_full_coupling_matrices_structure():
     for i in mp.PI11C_SLOTS:
         assert A[i, mp.PI11_SLOT] == 0.0
         assert B[i, mp.PI11_SLOT] == 0.0
+
+
+def test_full_coupling_matrices_evaluate_a_batch_of_points():
+    from nullinf.metrics import manufactured_suite
+
+    fns = mp.full_coupling_matrices(manufactured_suite()[5], 0.2, 0.45, 0.4)
+    q, s = np.array([400.0, 500.0, 650.0]), np.array([-20.0, -21.0, -30.0])
+    theta, phi = np.array([1.1, 0.7, 2.0]), np.array([0.3, 1.0, 4.0])
+    for fn in fns:
+        batch = fn(q, s, theta, phi)
+        assert batch.shape == (3, 7, 7)
+        assert np.array_equal(batch, np.stack([fn(*point) for point in zip(q, s, theta, phi)]))
