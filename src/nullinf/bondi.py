@@ -76,14 +76,13 @@ class Congruence:
                 f"radius {r_coord} is outside the congruence window "
                 f"[{r[:, 0].max():.3g}, {r[:, -1].min():.3g}]"
             )
-        # secant refinement on the interpolated trajectory
+        # Newton refinement on the interpolated trajectory: r* = (q - s) / 2, so
+        # dr/ds = (1 - 2m/r) (v0 - v1) / 2
         lo, hi = self.traj.s[0], self.traj.s[-1]
         for _ in range(4):
-            x_here, _ = self.traj.interpolate_per_member(out)
+            x_here, v_here = self.traj.interpolate_per_member(out)
             r_here = self.metric.radius(x_here[:, 0], x_here[:, 1])
-            x_off, _ = self.traj.interpolate_per_member(out * (1.0 + 1e-6))
-            r_off = self.metric.radius(x_off[:, 0], x_off[:, 1])
-            slope = (r_off - r_here) / (out * 1e-6)
+            slope = (1.0 - 2.0 * self.metric.m / r_here) * (v_here[:, 0] - v_here[:, 1]) / 2.0
             step = (r_coord - r_here) / slope
             out = np.clip(out + step, lo, hi)
             if np.max(np.abs(step / out)) < 1e-13:

@@ -57,15 +57,6 @@ class PolyhomExpansion:
     def index_hull(self) -> IndexSet:
         return IndexSet.make([(p, k) for p, k, _ in self.terms], self.remainder_order)
 
-    def scale(self, factor) -> "PolyhomExpansion":
-        return PolyhomExpansion.make(
-            [(p, k, _coeff(factor) * c) for p, k, c in self.terms], self.remainder_order
-        )
-
-    def __add__(self, other: "PolyhomExpansion") -> "PolyhomExpansion":
-        rem = min(self.remainder_order, other.remainder_order)
-        return PolyhomExpansion.make(list(self.terms) + list(other.terms), rem)
-
 
 def differentiate_rho(u: PolyhomExpansion) -> PolyhomExpansion:
     """Apply rho d/drho exactly, term by term."""

@@ -57,7 +57,6 @@ class GeodesicTrajectory:
     iterations: int
     diffs: list
     tail_bound: float
-    affine_scale: float = 1.0
     acc: np.ndarray | None = None
 
     def interpolate_per_member(self, s_values):
@@ -88,14 +87,14 @@ class GeodesicTrajectory:
         return np.einsum("...mn,...m,...n->...", g, self.v, self.v)
 
     def fitted_rates(self, m):
-        """Decay exponents of the velocity components against the affine scale.
+        """Decay exponents of the velocity components against the affine parameter.
 
         The fit window runs from 10 to 1000 times the first affine parameter.
         """
-        s = self.s / self.affine_scale
+        s = self.s
         mask = (s >= 10.0 * s[0]) & (s <= 1000.0 * s[0])
         ls = np.log(s[mask])
-        v = self.v * self.affine_scale
+        v = self.v
         tilde0 = np.abs(v[..., mask, 0] - (1.0 + 4.0 * m / s[mask]))
         out = {}
         for name, comp in (
@@ -133,7 +132,6 @@ def integrate_radial_null_geodesic(
     target_angles,
     s0=20.0,
     tail_decades=7.0,
-    affine_scale=1.0,
 ):
     """Batched Picard construction of radial null geodesics.
 
@@ -145,22 +143,21 @@ def integrate_radial_null_geodesic(
     as ``tail_bound``.
     """
     max_iter = 40
-    lam = float(affine_scale)
     # sweeps stop once the change is below tol; below flo it may be evaluation noise
-    tol = 5e-14 * (1.0 + 1.0 / lam)
-    flo = 3e-8 * (1.0 + 1.0 / lam)
+    tol = 1e-13
+    flo = 6e-8
     m = metric.m
     angles = np.atleast_2d(np.asarray(target_angles, dtype=float))
     ntar = angles.shape[0]
 
     sigma, h = _master_grid(s0, tail_decades)
-    s = lam / sigma[::-1]  # ascending affine values, s[0] = lam * s0
+    s = 1.0 / sigma[::-1]  # ascending affine values, s[0] = s0
     ns = len(s)
 
     def tail_integrals(F):
         """int_s^inf F du for samples F(..., s) on the master grid."""
-        G = F[..., ::-1] / lam  # reorder to ascending sigma; du = -lam dsigma/sigma^2
-        H = G * (lam / sigma) ** 2 * sigma  # integrand in d log sigma
+        G = F[..., ::-1]  # reorder to ascending sigma; du = -dsigma/sigma^2
+        H = G * (1.0 / sigma) ** 2 * sigma  # integrand in d log sigma
         inner = _cumulative_simpson(H, h)
         # end panel [0, sigma_min]: trapezoid with the value extrapolated to 0
         g0 = H[..., 0] / sigma[0]
@@ -171,7 +168,7 @@ def integrate_radial_null_geodesic(
         return total[..., ::-1], float(np.max(np.abs(stub)))
 
     vinf = np.zeros((ntar, ns, 4))
-    vinf[..., 0] = 1.0 / lam
+    vinf[..., 0] = 1.0
 
     v = vinf.copy()
     x = np.empty_like(v)
@@ -179,9 +176,9 @@ def integrate_radial_null_geodesic(
     it = 0
     for it in range(1, max_iter + 1):
         # positions from the current velocity, all four components in one tail integral
-        tilde0 = v[..., 0] - (1.0 / lam) * (1.0 + 4.0 * m * lam / s)
+        tilde0 = v[..., 0] - (1.0 + 4.0 * m / s)
         Tx, _ = tail_integrals(np.stack([tilde0, v[..., 1], v[..., 2], v[..., 3]]))
-        x[..., 0] = s / lam + 4.0 * m * np.log(s / lam) - Tx[0]
+        x[..., 0] = s + 4.0 * m * np.log(s) - Tx[0]
         x[..., 1] = x1bar - Tx[1]
         x[..., 2:] = angles[:, None, :] - np.moveaxis(Tx[2:], 0, -1)
 
@@ -215,7 +212,7 @@ def integrate_radial_null_geodesic(
     squeeze = np.ndim(target_angles) == 1
     if squeeze:
         x, v, acc = x[0], v[0], acc[0]
-    return GeodesicTrajectory(s, x, v, angles, it, diffs, tail_bound, lam, acc)
+    return GeodesicTrajectory(s, x, v, angles, it, diffs, tail_bound, acc)
 
 
 def retarded_time(metric: MetricField, point, s0=20.0):

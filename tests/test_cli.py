@@ -56,6 +56,9 @@ def test_unreadable_config_exits_2(tmp_path):
     assert code == 2
 
 
+#: an integer too large for a float
+HUGE = "1" + "0" * 400
+
 #: every bad config, and the one stderr line it gets; {cfg} stands for the config path
 BAD_VALUES = {
     ("geodesics", "mass = abc\n"):
@@ -150,6 +153,18 @@ BAD_VALUES = {
         "config error: model-pde: need cells(eps, rho_min, points_per_decade) <= 1.1e6; got eps = 1e308, rho_min = 1e-8, points_per_decade = 16\n",
     ("model-pde", "rho_min = 1e-8\npoints_per_decade = 4000\n"):
         "config error: model-pde: need cells(eps, rho_min, points_per_decade) <= 1.1e6; got eps = 0.1, rho_min = 1e-8, points_per_decade = 4000\n",
+    ("model-pde", f"points_per_decade = {HUGE}\n"):
+        f"config error: model-pde: points_per_decade = '{HUGE}' is not finite\n",
+    ("bondi", f"mass = 0.1\nu_samples = {HUGE}\n"):
+        f"config error: bondi: u_samples = '{HUGE}' is not finite\n",
+    ("model-pde", f"ell = {10**200}\n"):
+        f"config error: model-pde: need ell <= 1e154; got ell = {10**200}\n",
+    ("bondi", "mass = 0.1\nquad_theta = 100000000000000000000\n"):
+        "config error: bondi: need u_samples * quad_theta * quad_phi <= 2e7; got u_samples = 601, quad_theta = 100000000000000000000, quad_phi = 24\n",
+    ("bondi", "mass = 0.1\nu_samples = 1000000000\n"):
+        "config error: bondi: need u_samples * quad_theta * quad_phi <= 2e7; got u_samples = 1000000000, quad_theta = 16, quad_phi = 24\n",
+    ("bondi", "mass = 0.1\nquad_theta = 64\nquad_phi = 10000000\n"):
+        "config error: bondi: need u_samples * quad_theta * quad_phi <= 2e7; got u_samples = 601, quad_theta = 64, quad_phi = 10000000\n",
     ("geodesics", "mass = 0.1\nmass = 0.2\n"):
         "config error: {cfg}:2: repeated key mass\n",
     ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
@@ -271,10 +286,19 @@ def test_amplitude_at_its_bound_runs_without_runtime_warnings(tmp_path, capsys, 
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("text", ["eps = 1e300\n", "rho_min = 1e-8\npoints_per_decade = 4000\n"])
-def test_oversized_grid_is_rejected_before_any_allocation(tmp_path, text):
+OVERSIZED = [
+    ("model-pde", "eps = 1e300\n"),
+    ("model-pde", "rho_min = 1e-8\npoints_per_decade = 4000\n"),
+    ("bondi", "mass = 0.1\nu_samples = 1000000000\n"),
+    ("bondi", "mass = 0.1\nquad_theta = 64\nquad_phi = 10000000\n"),
+]
+
+
+@pytest.mark.parametrize("subcommand, text", OVERSIZED, ids=[text for _, text in OVERSIZED])
+def test_oversized_grid_is_rejected_before_any_allocation(tmp_path, subcommand, text):
     # the child gets 2 GiB of address space: one that reached the solver would ask for more
-    # (11.7 GiB for 28001 x 56001 forcing values) and end in MemoryError, not exhaust the host
+    # (11.7 GiB for 28001 x 56001 forcing values, 8 GB for 1e9 retarded times, 5 GB for
+    # 64 x 1e7 quadrature nodes) and end in MemoryError, not exhaust the host
     limit = 2 * 2**30
     cfg = write_config(tmp_path, text)
     code = (
@@ -286,10 +310,18 @@ def test_oversized_grid_is_rejected_before_any_allocation(tmp_path, text):
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c", code,
-         "model-pde", "--config", str(cfg), "--out", str(tmp_path / "out")],
+         subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
     )
-    assert (child.returncode, child.stderr) == (2, BAD_VALUES["model-pde", text])
+    assert (child.returncode, child.stderr) == (2, BAD_VALUES[subcommand, text])
+
+
+def test_mode_number_at_its_bound_runs_without_warnings(tmp_path, capsys):
+    # at such a mode the decay fit finds no remainder: a failed check, not an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("model-pde", write_config(tmp_path, f"ell = {10**154}\n"), tmp_path / "out") == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_check_exits_1(tmp_path):
@@ -308,11 +340,11 @@ LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
     "index-sets: relations: truncation <= 12\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
-    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6\n"
+    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6; ell <= 1e154\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
     "geodesics: relations: s0 <= 1e147; mass <= 0.02 s0; 0 < theta < pi\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
-    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300\n"
+    "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300; u_samples * quad_theta * quad_phi <= 2e7\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
     "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60"
 )

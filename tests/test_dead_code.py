@@ -7,9 +7,9 @@ No unused settings either: every default of a parameter or of a class field
 is passed by some call in the package, the tests or the benchmark, no
 default is overridden with the same constant expression by every call, and
 every annotated class field is read somewhere.  Every name bound at the top
-level of a module is loaded or imported somewhere.  Calls are matched by the
-name of the function, method or class only, so a call of any function of
-the same name counts.
+level of a module is loaded or imported somewhere, and every method is named
+by an attribute load.  Calls are matched by the name of the function, method
+or class only, so a call of any function of the same name counts.
 """
 
 import ast
@@ -156,14 +156,29 @@ def one_value_all_parameters(modules, callers):
     return out
 
 
+def _attribute_loads(trees):
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_fields(modules, readers):
     """``module.Class.field`` of each annotated class field in ``modules`` that no attribute read in ``readers`` names."""
-    read = {n.attr for tree in readers for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = _attribute_loads(readers)
     return [f"{stem}.{cls.name}.{s.target.id}"
             for stem, tree in modules.items()
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for s in _fields(cls) if s.target.id not in read]
+
+
+def unnamed_methods(modules, readers):
+    """``module.Class.method`` of each method of a class in ``modules`` that no attribute load in
+    ``readers`` names; dunder methods are exempt."""
+    read = _attribute_loads(readers)
+    return [f"{stem}.{cls.name}.{fn.name}"
+            for stem, tree in modules.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if fn.name not in read and not (fn.name.startswith("__") and fn.name.endswith("__"))]
 
 
 def unread_module_names(modules, readers):
@@ -234,6 +249,24 @@ def test_every_default_is_passed_and_every_field_is_read():
     modules, callers = _package_and_callers()
     assert unset_defaults(modules, callers) == []
     assert unread_fields(modules, callers) == []
+
+
+def test_every_method_is_named():
+    assert unnamed_methods(*_package_and_callers()) == []
+
+
+def test_checker_flags_an_unnamed_method():
+    module = ast.parse(
+        "class K:\n"
+        "    def __add__(self, o):\n        return self\n\n"
+        "    @property\n    def size(self):\n        return self._half()\n\n"
+        "    def _half(self):\n        return 1\n\n"
+        "    def scale(self, f):\n        return self\n\n"
+        "    def at(self, x):\n        return x\n"
+    )
+    callers = [module, ast.parse("k = K()\nprint(k.size, K.at)\nscale = 2\nk.scale = 3\n")]
+    # a property read and a method named without a call count; a name or a store does not
+    assert unnamed_methods({"m": module}, callers) == ["m.K.scale"]
 
 
 def test_every_module_level_name_is_used():

@@ -95,18 +95,6 @@ def test_fitted_rates_in_windows():
     assert 0.5 < rates["alpha_sph"] <= 1.0 + w.bI_prime + 0.1
 
 
-def test_affine_reparametrization_covariance():
-    g = MetricField(0.25)
-    lam = 3.0
-    t1 = integrate_radial_null_geodesic(g, -12.0, np.array([0.9, 2.0]), s0=25.0)
-    t2 = integrate_radial_null_geodesic(
-        g, -12.0, np.array([0.9, 2.0]), s0=25.0, affine_scale=lam
-    )
-    assert np.allclose(t2.s, lam * t1.s, rtol=1e-13)
-    assert np.max(np.abs(t2.x - t1.x) / (1.0 + np.abs(t1.x))) < 1e-8
-    assert np.max(np.abs(t2.v - t1.v / lam)) < 1e-8
-
-
 def test_retarded_time_schwarzschild():
     g = MetricField(0.2)
     u, _ = retarded_time(g, (140.0, -17.0, 1.2, 0.4), s0=20.0)

@@ -254,8 +254,20 @@ def newton_every_sweep(grid, gamma, forcing, steps):
     rho0 = grid.rho0[:, None]
     rhoI = grid.rhoI[None, :]
 
+    def nearest(x, nodes):
+        return np.clip(np.round(np.log(x / nodes[0]) / grid.h).astype(int), 0, len(nodes) - 1)
+
+    def grid_interp(table):
+        """Nearest-node interpolant of a core table, zero left of the core window."""
+
+        def f(r0, rI):
+            inside = r0 >= grid.rho0[0] * (1.0 - 1e-12)
+            return np.where(inside, table[nearest(r0, grid.rho0), nearest(rI, grid.rhoI)], 0.0)
+
+        return f
+
     def linearized(base, a_prev, a_new):
-        extra = mp._grid_interp(grid, (2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
+        extra = grid_interp((2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI))
         if base is None:
             return extra
         return lambda r0, rI: np.asarray(base(r0, rI), dtype=float) + extra(r0, rI)
@@ -332,23 +344,19 @@ def column_march(grid, gamma, forcing, data):
     U[:, nJ - 1] = u_top
     W[:, nJ - 1] = w_top
 
-    def F(col_j):
-        if forcing is None:
-            return np.zeros(next_)
-        return np.asarray(forcing(rho0_ext, np.full(next_, rhoI[col_j])), dtype=float)
+    # the forcing is called once on the whole grid, as its contract states
+    F = 0.0 if forcing is None else forcing(rho0_ext[None, :], rhoI[:, None])
+    F = np.broadcast_to(np.asarray(F, dtype=float), (nJ, next_))
 
     decay = math.exp(-gamma * h)
-    F_above = F(nJ - 1)
     for j in range(nJ - 2, -1, -1):
-        S_above = 0.5 * rhoI[j + 1] * (F_above + lam * U[:, j + 1])
+        S_above = 0.5 * rhoI[j + 1] * (F[j + 1] + lam * U[:, j + 1])
         B = decay * (W[:, j + 1] - 0.5 * h * S_above)
-        F_here = F(j)
         c = 0.25 * h * rhoI[j]
         A = np.full(next_, np.nan)
         A[1:] = U[:-1, j + 1] + 0.5 * h * W[:-1, j + 1]
-        W[:, j] = (B - c * F_here - c * lam * A) / (1.0 + 0.5 * c * lam * h)
+        W[:, j] = (B - c * F[j] - c * lam * A) / (1.0 + 0.5 * c * lam * h)
         U[:, j] = A + 0.5 * h * W[:, j]
-        F_above = F_here
 
     u = U[nJ - 1 :, :]
     w = W[nJ - 1 :, :]
@@ -358,22 +366,6 @@ def column_march(grid, gamma, forcing, data):
         target = np.asarray(data.u_right(rhoI), dtype=float)
         mismatch = float(np.max(np.abs(u[-1, :] - target)))
     return u, w, mismatch
-
-
-def column_grid_interp(grid, table):
-    """Nearest-column interpolant for one column of r0 at a time: the reference."""
-    rho0 = grid.rho0
-    rhoI = grid.rhoI
-
-    def f(r0, rI):
-        out = np.zeros_like(r0)
-        j = np.argmin(np.abs(np.log(rI[0] / rhoI)))
-        mask = r0 >= rho0[0] * (1.0 - 1e-12)
-        idx = np.clip(np.round(np.log(r0[mask] / rho0[0]) / grid.h).astype(int), 0, len(rho0) - 1)
-        out[mask] = table[idx, j]
-        return out
-
-    return f
 
 
 def assert_same_solution(sol, ref):
@@ -409,7 +401,6 @@ def test_newton_iterates_match_column_reference(monkeypatch):
     f0, f1 = toy_setup()
     iterates, errors, ratios = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=8)
     monkeypatch.setattr(mp, "_march", column_march)
-    monkeypatch.setattr(mp, "_grid_interp", column_grid_interp)
     ref = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=8)
     assert errors == ref[1] and ratios == ref[2]
     for step, ref_step in zip(iterates, ref[0], strict=True):
