@@ -286,10 +286,6 @@ class NewsTensor:
                 out += np.outer(amps[k] * amps[l], ang[..., k * n + l])
         return out
 
-    def trace_residual(self, theta, phi):
-        traces = compile_fields((TH, PH), [sphere_trace(E) for _, E in self.modes])(theta, phi)
-        return float(np.max(np.abs(traces)))
-
 
 def _double_divergence(mat):
     """nabla^a nabla^b T_ab on the round sphere, symbolic."""

@@ -187,9 +187,14 @@ SCHEMAS = {
 #: relations between the keys of one subcommand, each with its test on the values
 RELATIONS = {
     # the index recursion's work grows fast with the truncation: one run takes
-    # 1.0 s at the default 4, 6.3 s at 12, 15 s at 14 and 26 s at 16 (2-vCPU
-    # host), and 1e400 ends in MemoryError
-    "index-sets": [("truncation <= 12", lambda v: v["truncation"] <= 12)],
+    # 1.0 s at the default 4, 1.7-2.6 s at 12, 2.6 s at 14 and 4.4 s at 16
+    # (2-vCPU host), and 1e400 ends in MemoryError
+    "index-sets": [
+        ("truncation <= 12", lambda v: v["truncation"] <= 12),
+        # every power of an index set is a fraction with a bounded denominator
+        (f"denominator(truncation) <= {ix.MAX_DENOMINATOR}",
+         lambda v: v["truncation"].denominator <= ix.MAX_DENOMINATOR),
+    ],
     "model-pde": [
         ("rho_min < eps", lambda v: v["rho_min"] < v["eps"]),
         # the leading-term fits square residuals of the solution, which is linear in
@@ -207,6 +212,9 @@ RELATIONS = {
     "geodesics": [
         # the tail integrand squares the affine parameter up to s0 * 1e7
         ("s0 <= 1e147", lambda v: v["s0"] <= 1e147),
+        # the radius reaches (s0 * 1e7 - x1bar) / 2, and the metric takes 2 r**2, which
+        # overflows past r = 9.48e153; the bound keeps r at 9e153
+        ("s0 * 1e7 - x1bar <= 1.8e154", lambda v: v["s0"] * 1e7 - v["x1bar"] <= 1.8e154),
         # the end panel of the tail integrals truncates 4 mass / (s0 * 1e7), which
         # warns above 1e-8; the bound keeps it at 8e-9
         ("mass <= 0.02 s0", lambda v: v["mass"] <= 0.02 * v["s0"]),

@@ -135,9 +135,10 @@ def integrate_radial_null_geodesic(
 ):
     """Batched Picard construction of radial null geodesics.
 
-    The geodesics end at retarded time ``x1bar``; ``target_angles`` has
-    shape (..., 2), and the returned arrays have one leading axis per
-    target.  The affine parameter runs over a fixed logarithmic master grid
+    The geodesics end at retarded time ``x1bar``; ``target_angles`` is
+    one (theta, phi) pair of shape (2,) or n of them of shape (n, 2), and
+    for n pairs the returned arrays have a leading axis of length n.  The
+    affine parameter runs over a fixed logarithmic master grid
     from ``s0`` through ``tail_decades`` decades; contributions from beyond
     the grid enter through an extrapolated end panel whose size is reported
     as ``tail_bound``.
@@ -147,7 +148,11 @@ def integrate_radial_null_geodesic(
     tol = 1e-13
     flo = 6e-8
     m = metric.m
-    angles = np.atleast_2d(np.asarray(target_angles, dtype=float))
+    angles = np.asarray(target_angles, dtype=float)
+    if angles.ndim not in (1, 2) or angles.shape[-1] != 2:
+        raise ValueError(f"target_angles must have shape (2,) or (n, 2), got {angles.shape}")
+    squeeze = angles.ndim == 1
+    angles = np.atleast_2d(angles)
     ntar = angles.shape[0]
 
     sigma, h = _master_grid(s0, tail_decades)
@@ -209,7 +214,6 @@ def integrate_radial_null_geodesic(
     # x has not moved since the last sweep, so its connection is still gam
     acc = -np.einsum("...kmn,...m,...n->...k", gam, v, v)
 
-    squeeze = np.ndim(target_angles) == 1
     if squeeze:
         x, v, acc = x[0], v[0], acc[0]
     return GeodesicTrajectory(s, x, v, angles, it, diffs, tail_bound, acc)

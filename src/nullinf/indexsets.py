@@ -23,10 +23,6 @@ from typing import Iterable
 MAX_DENOMINATOR = 64
 
 
-class RecursionError_(RuntimeError):
-    """Index-set fixed-point iteration exceeded its stabilization bound."""
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         f = x
@@ -194,16 +190,6 @@ def shift(a: IndexSet, n: int) -> IndexSet:
     return IndexSet(_normalize(pairs, trunc), trunc)
 
 
-def scale_sum(a: IndexSet, j: int) -> IndexSet:
-    """j-fold sum of a set with itself."""
-    if j < 1:
-        raise ValueError("scale_sum needs j >= 1")
-    out = a
-    for _ in range(j - 1):
-        out = sum_sets(out, a)
-    return out
-
-
 def elog(truncation) -> IndexSet:
     """Integer powers with log order growing with the power: k(p) = floor(p)."""
     trunc = _frac(truncation)
@@ -274,8 +260,11 @@ def _nonlinear_closure_terms(e: IndexSet, trunc: Fraction) -> list[IndexSet]:
     pmin = shifted.min_power
     jmax = math.ceil(trunc / pmin)
     out = []
+    jfold = shifted  # the j-fold sum: the (j - 1)-fold sum plus one more copy
     for j in range(1, jmax + 1):
-        term = shift(scale_sum(shifted, j), -1)
+        if j > 1:
+            jfold = sum_sets(jfold, shifted)
+        term = shift(jfold, -1)
         if term.min_power is not None and term.min_power < trunc:
             out.append(term.restrict(trunc))
     return out
@@ -293,7 +282,7 @@ def _least_fixed_point(step, start, cap: int, what: str):
         if new == current:
             return current, steps
         current = new
-    raise RecursionError_(f"{what} did not stabilize within {cap} iterations")
+    raise RuntimeError(f"{what} did not stabilize within {cap} iterations")
 
 
 def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -> RecursionResult:
@@ -326,11 +315,11 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
 
     def radiation(sets):
         ei_prime, ei_bar, ei = sets
-        two_ei_down = shift(scale_sum(ei, 2), 1).restrict(trunc)
+        two_ei_down = shift(sum_sets(ei, ei), 1).restrict(trunc)
         return (
             extended_union(e0, two_ei_down),
             union(zero, extended_union(e0, union(sum_sets(ei_bar, ei_prime), two_ei_down))),
-            union(extended_union(zero, e0, union(sum_sets(ei, ei_prime), scale_sum(ei_bar, 2))),
+            union(extended_union(zero, e0, union(sum_sets(ei, ei_prime), sum_sets(ei_bar, ei_bar))),
                   *_nonlinear_closure_terms(ei, trunc)),
         )
 

@@ -197,12 +197,6 @@ def gaussian_profile(center, width=1.0, cut=10.0):
     return f
 
 
-def test_news_trace_free():
-    news = bd.NewsTensor([(gaussian_profile(-5.0), bd.tensor_harmonic(2, 0))], (-16.0, 6.0))
-    th, ph, _ = bd.sphere_quadrature(12, 16)
-    assert news.trace_residual(th, ph) < 1e-12
-
-
 def test_zero_news_keeps_mass_constant():
     news = bd.NewsTensor([(lambda u: np.zeros_like(np.asarray(u)), bd.tensor_harmonic(2, 0))], (-1.0, 1.0))
     rep = bd.evolve_mass_aspect(news, M, np.linspace(-5, 5, 101))

@@ -165,6 +165,38 @@ BAD_VALUES = {
         "config error: bondi: need u_samples * quad_theta * quad_phi <= 2e7; got u_samples = 1000000000, quad_theta = 16, quad_phi = 24\n",
     ("bondi", "mass = 0.1\nquad_theta = 64\nquad_phi = 10000000\n"):
         "config error: bondi: need u_samples * quad_theta * quad_phi <= 2e7; got u_samples = 601, quad_theta = 64, quad_phi = 10000000\n",
+    ("geodesics", "mass = 0.1\nx1bar = -1e300\n"):
+        "config error: geodesics: need s0 * 1e7 - x1bar <= 1.8e154; got s0 = 20.0, x1bar = -1e300\n",
+    ("geodesics", "mass = 0.1\nx1bar = -1e154\ns0 = 1e147\n"):
+        "config error: geodesics: need s0 * 1e7 - x1bar <= 1.8e154; got s0 = 1e147, x1bar = -1e154\n",
+    ("index-sets", "truncation = 1/128\n"):
+        "config error: index-sets: need denominator(truncation) <= 64; got truncation = 1/128\n",
+    ("index-sets", "truncation = 1e-300\n"):
+        "config error: index-sets: need denominator(truncation) <= 64; got truncation = 1e-300\n",
+    ("model-pde", "ell = -1\n"):
+        "config error: model-pde: ell = '-1' is outside the window ell >= 0\n",
+    ("model-pde", "eps = 0\n"):
+        "config error: model-pde: eps = '0' is outside the window eps > 0\n",
+    ("model-pde", "forcing_center = -1e-300\n"):
+        "config error: model-pde: forcing_center = '-1e-300' is outside the window forcing_center > 0\n",
+    ("model-pde", "exponent_rel_tol = -1\n"):
+        "config error: model-pde: exponent_rel_tol = '-1' is outside the window exponent_rel_tol >= 0\n",
+    ("geodesics", "mass = 0.1\nnull_norm_tol = -1e-300\n"):
+        "config error: geodesics: null_norm_tol = '-1e-300' is outside the window null_norm_tol >= 0\n",
+    ("geodesics", "mass = 0.1\ncomponent_drift_tol = -1\n"):
+        "config error: geodesics: component_drift_tol = '-1' is outside the window component_drift_tol >= 0\n",
+    ("bondi", "mass = -1\n"):
+        "config error: bondi: mass = '-1' is outside the window mass >= 0\n",
+    ("bondi", "mass = 0.1\nquad_phi = 0\n"):
+        "config error: bondi: quad_phi = '0' is outside the window quad_phi >= 1\n",
+    ("bondi", "mass = 0.1\nbudget_tol = -1e300\n"):
+        "config error: bondi: budget_tol = '-1e300' is outside the window budget_tol >= 0\n",
+    ("verify-appendix", "mass = -1e-300\n"):
+        "config error: verify-appendix: mass = '-1e-300' is outside the window mass >= 0\n",
+    ("verify-appendix", "mass = 0.1\nwindow_high = 0\n"):
+        "config error: verify-appendix: window_high = '0' is outside the window window_high > 0\n",
+    ("verify-appendix", "mass = 0.1\nslack = -1\n"):
+        "config error: verify-appendix: slack = '-1' is outside the window slack >= 0\n",
     ("geodesics", "mass = 0.1\nmass = 0.2\n"):
         "config error: {cfg}:2: repeated key mass\n",
     ("all", "model_pde.gamma = 0.25\nmass = 0.1\nmodel_pde.gamma = 0.3\n"):
@@ -185,6 +217,15 @@ def test_bad_value_message_is_pinned(tmp_path, capsys, subcommand, text):
     cfg = write_config(tmp_path, text)
     cli.run(subcommand, cfg, tmp_path / "out")
     assert capsys.readouterr().err == BAD_VALUES[subcommand, text].replace("{cfg}", str(cfg))
+
+
+def test_every_window_and_relation_has_a_bad_value_row():
+    windows = {(name, f"{key} {rule.window()}") for name, schema in cli.SCHEMAS.items()
+               for key, rule in schema.items() if rule.low is not None}
+    relations = {(name, rule) for name, rules in cli.RELATIONS.items() for rule, _ in rules}
+    messages = [m.split(": ", 2)[1:] for m in BAD_VALUES.values()]
+    assert windows <= {(name, m.split(" is outside the window ")[-1].rstrip()) for name, m in messages}
+    assert relations <= {(name, m.removeprefix("need ").split("; got ")[0]) for name, m in messages}
 
 
 @pytest.mark.parametrize("first, second", [("bondi.mass = 0.3", "mass = 0.1"), ("mass = 0.1", "bondi.mass = 0.3")])
@@ -277,6 +318,8 @@ def test_model_pde_without_fitted_exponent_is_a_failing_row(tmp_path, capsys, te
     ("geodesics", "mass = 0\ns0 = 1e-300\n"),
     ("geodesics", "mass = 0.1\ntheta = 3.1415926535897927\n"),
     ("geodesics", "mass = 0.1\ntheta = 1e-300\n"),
+    ("geodesics", "mass = 0.1\nx1bar = -1.8e154\n"),
+    ("geodesics", "mass = 2e145\nx1bar = -8e153\ns0 = 1e147\n"),
 ])
 def test_amplitude_at_its_bound_runs_without_runtime_warnings(tmp_path, capsys, subcommand, text):
     # any warning, such as the geodesics tail-truncation warning, would reach stderr outside pytest
@@ -338,11 +381,11 @@ def test_list_checks():
 
 LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
-    "index-sets: relations: truncation <= 12\n"
+    "index-sets: relations: truncation <= 12; denominator(truncation) <= 64\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
     "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6; ell <= 1e154\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
-    "geodesics: relations: s0 <= 1e147; mass <= 0.02 s0; 0 < theta < pi\n"
+    "geodesics: relations: s0 <= 1e147; s0 * 1e7 - x1bar <= 1.8e154; mass <= 0.02 s0; 0 < theta < pi\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
     "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300; u_samples * quad_theta * quad_phi <= 2e7\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"

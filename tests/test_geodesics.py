@@ -155,6 +155,14 @@ def test_one_connection_evaluation_per_sweep(monkeypatch, perturbed):
     assert np.array_equal(traj.acc, -np.einsum("...kmn,...m,...n->...k", gam, traj.v, traj.v))
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3,), (4, 3), ()])
+def test_target_shapes_other_than_one_pair_or_a_list_are_rejected(monkeypatch, shape):
+    # before the first sweep: no connection is evaluated
+    monkeypatch.setattr(geodesics, "_christoffel_at", None)
+    with pytest.raises(ValueError, match=r"target_angles must have shape \(2,\) or \(n, 2\), got "):
+        integrate_radial_null_geodesic(MetricField(0.1), -30.0, np.ones(shape))
+
+
 def test_tail_bound_reported_small(schwarzschild_traj):
     _, traj = schwarzschild_traj
     assert traj.tail_bound < 1e-8

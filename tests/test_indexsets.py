@@ -199,16 +199,23 @@ def test_recursion_taylor_seed_without_log_ladder():
     assert bounds(r.eplus) == (0, 8, 21, 39)
 
 
+def test_spatial_closure_grows_by_the_nonlinear_sums():
+    # without the log ladder only the j-fold sums grow the seed (1, 1): the j-fold sum
+    # of the set shifted up one, shifted back down, starts at (2j - 1, j)
+    r = ix.solve_index_recursion(ix.IndexSet.single(1, 1, 6), 6, include_elog_prime=False)
+    assert r.e0.generators == ((1, 1), (3, 2), (5, 3))
+
+
 def _reapply(r, trunc):
     """One application of each defining map to a claimed fixed point."""
     z = ix.IndexSet.zero(trunc)
-    two_down = ix.shift(ix.scale_sum(r.ei, 2), 1).restrict(trunc)
+    two_down = ix.shift(ix.sum_sets(r.ei, r.ei), 1).restrict(trunc)
     new_prime = ix.extended_union(r.e0, two_down).restrict(trunc)
     inner = ix.union(ix.sum_sets(r.ei_bar, r.ei_prime).restrict(trunc), two_down)
     new_bar = ix.union(z, ix.extended_union(r.e0, inner)).restrict(trunc)
     inner2 = ix.union(
         ix.sum_sets(r.ei, r.ei_prime).restrict(trunc),
-        ix.scale_sum(r.ei_bar, 2).restrict(trunc),
+        ix.sum_sets(r.ei_bar, r.ei_bar).restrict(trunc),
     )
     new_ei = ix.extended_union(z, r.e0, inner2).restrict(trunc)
     for t in ix._nonlinear_closure_terms(r.ei, trunc):
@@ -270,6 +277,19 @@ def test_recursion_grid_is_pinned():
                     seen.append(repr(exc))
     assert len(seen) == 128 and sum(s.startswith("ValueError(") for s in seen) == 44
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == GRID_SHA256
+
+
+#: repr digest of the three cases `nullinf index-sets` runs, at truncations 6 to 12
+CLI_CASES_SHA256 = "87cac0641d0887271c63e51ac645ac84bddbf821c978127d2e279fd23013bd22"
+
+
+def test_cli_cases_at_large_truncations_are_pinned():
+    seen = [
+        repr(ix.solve_index_recursion(ix.IndexSet.make(pairs, trunc), trunc, flag))
+        for trunc in (6, 8, 10, 12)
+        for pairs, flag in (([], True), ([(1, 0)], True), ([(1, 0)], False))
+    ]
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == CLI_CASES_SHA256
 
 
 # -- serialization ---------------------------------------------------------
