@@ -186,8 +186,8 @@ SCHEMAS = {
 
 #: relations between the keys of one subcommand, each with its test on the values
 RELATIONS = {
-    # the index recursion's work grows fast with the truncation: one run takes
-    # 1.0 s at the default 4, 1.7-2.6 s at 12, 2.6 s at 14 and 4.4 s at 16
+    # the index recursion's work grows fast with the truncation: a whole run takes
+    # 0.9-1.1 s at 4 and 1.3-1.6 s at 12, the recursion alone 0.6-0.9 s at 16
     # (2-vCPU host), and 1e400 ends in MemoryError
     "index-sets": [
         ("truncation <= 12", lambda v: v["truncation"] <= 12),

@@ -182,10 +182,10 @@ def chart_transition_temporal_to_nullcone(rho_plus, X):
 
 def chart_transition_nullcone_to_temporal(rho, v, omega):
     """Inverse transition: (rho, v, omega) -> (rho_+', X)."""
-    omega = np.asarray(omega, dtype=float)
+    if 1.0 + float(v) <= 0.0:
+        raise ValueError(f"chart transition is singular at v = {v} <= -1")
     scale = 1.0 / (1.0 + float(v))
-    X = omega * scale
-    return float(rho) * scale, X
+    return float(rho) * scale, np.asarray(omega, dtype=float) * scale
 
 
 # -- boundary defining functions and the null frame ------------------------

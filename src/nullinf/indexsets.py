@@ -248,28 +248,6 @@ class RecursionResult:
     iterations_used: int
 
 
-def _nonlinear_closure_terms(e: IndexSet, trunc: Fraction) -> list[IndexSet]:
-    """The sweep of sets j*(e shifted down one) shifted back up, j = 1, 2, ...
-
-    Terms with j beyond ceil(trunc / pmin) start at or beyond the
-    truncation and are dropped.
-    """
-    if e.is_empty:
-        return []
-    shifted = shift(e, 1)
-    pmin = shifted.min_power
-    jmax = math.ceil(trunc / pmin)
-    out = []
-    jfold = shifted  # the j-fold sum: the (j - 1)-fold sum plus one more copy
-    for j in range(1, jmax + 1):
-        if j > 1:
-            jfold = sum_sets(jfold, shifted)
-        term = shift(jfold, -1)
-        if term.min_power is not None and term.min_power < trunc:
-            out.append(term.restrict(trunc))
-    return out
-
-
 def _least_fixed_point(step, start, cap: int, what: str):
     """Iterate ``step`` from ``start`` until it returns its argument.
 
@@ -294,6 +272,10 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
     Every intermediate set is truncated at or beyond ``truncation`` (sums add
     nonnegative powers, and shifting up raises the truncation), so each union
     below lands exactly on it.
+
+    The nonlinear terms close e under the j-fold sums of E = shift(e, 1),
+    shifted back down.  The two-fold sum is enough: at its least fixed point
+    E + E lies in E, so every j-fold sum does.  Steps are capped as argued below.
     """
     trunc = _frac(truncation)
     if trunc <= 0:
@@ -301,15 +283,18 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
     if not e00.is_empty and e00.min_power <= 0:
         raise ValueError("the seed set must have positive minimal power")
 
-    c = Fraction(1)
-    if not e00.is_empty:
-        c = min(Fraction(1), e00.min_power)
-    cap = math.ceil(Fraction(3) * trunc / c) + 1
+    # A step writes each log bound from bounds at powers at most its own, and
+    # every nonzero power is at least c.  A read that may stay at the same power
+    # goes back along ei -> ei_bar -> ei'; every other read drops by at least c.
+    # A dependency chain from p < trunc so drops at most floor(trunc / c) times,
+    # through at most three sets between drops; one more step confirms the fixed point.
+    c = min(Fraction(1), e00.min_power or 1)
+    cap = 3 * (math.floor(trunc / c) + 1) + 1
 
     ep = elog_prime(trunc) if include_elog_prime else IndexSet.empty(trunc)
     e0, _ = _least_fixed_point(
-        lambda e: union(e, sum_sets(e, ep), *_nonlinear_closure_terms(e, trunc)),
-        e00.restrict(trunc), cap + 1, "closure of the spatial index set",
+        lambda e: union(e, sum_sets(e, ep), shift(sum_sets(e, e), 1)),
+        e00.restrict(trunc), cap, "closure of the spatial index set",
     )
     zero = IndexSet.zero(trunc)
 
@@ -320,7 +305,7 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
             extended_union(e0, two_ei_down),
             union(zero, extended_union(e0, union(sum_sets(ei_bar, ei_prime), two_ei_down))),
             union(extended_union(zero, e0, union(sum_sets(ei, ei_prime), sum_sets(ei_bar, ei_bar))),
-                  *_nonlinear_closure_terms(ei, trunc)),
+                  two_ei_down),
         )
 
     empty = IndexSet.empty(trunc)

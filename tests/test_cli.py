@@ -266,6 +266,15 @@ def test_index_sets_subcommand(tmp_path, capsys):
     assert (out / "indexset_schwartz_radiation.txt").read_text().splitlines()[0] == "0 1"
 
 
+@pytest.mark.parametrize("trunc", ["1/64", "1/8", "1/4", "1/3"])
+def test_index_sets_at_small_truncations_solve(tmp_path, trunc):
+    # the radiation-face iteration from empty sets takes three steps even here
+    cfg = write_config(tmp_path, f"truncation = {trunc}\n")
+    out = tmp_path / "out"
+    assert cli.run("index-sets", cfg, out) == 0
+    assert "solver-error" not in (out / "report_index-sets.csv").read_text()
+
+
 def test_bondi_zero_amplitude(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -122,6 +122,13 @@ def test_chart_transition_values():
     with pytest.raises(ValueError):
         cp.chart_transition_temporal_to_nullcone(0.1, (0.0, 0.0, 0.0))
 
+    # the inverse transition is singular at v = -1 and has no image below it,
+    # though NullConePoint admits v in (-7/4, 5)
+    with pytest.raises(ValueError):
+        cp.to_temporal(cp.NullConePoint(0.01, -1.0, (0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError):
+        cp.chart_transition_nullcone_to_temporal(0.01, -1.5, (0.0, 0.0, 1.0))
+
 
 @given(
     st.floats(min_value=0.0, max_value=0.09),

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -200,14 +202,29 @@ def test_recursion_taylor_seed_without_log_ladder():
 
 
 def test_spatial_closure_grows_by_the_nonlinear_sums():
-    # without the log ladder only the j-fold sums grow the seed (1, 1): the j-fold sum
-    # of the set shifted up one, shifted back down, starts at (2j - 1, j)
+    # without the log ladder only the nonlinear sums grow the seed (1, 1): the two-fold
+    # sum of the set shifted up one, shifted back down, adds (3, 2), and that plus the
+    # seed adds (5, 3), the three-fold sum of the seed
     r = ix.solve_index_recursion(ix.IndexSet.single(1, 1, 6), 6, include_elog_prime=False)
     assert r.e0.generators == ((1, 1), (3, 2), (5, 3))
 
 
+def _nonlinear_terms(e, trunc):
+    """Union of the j-fold sums of E = e shifted up one, shifted back down, j >= 1.
+
+    Built from generator j-tuples, not from the recursion's two-fold sum.  Every
+    power of E is at least 1, so a j-fold sum shifted down starts at j - 1 or above
+    and j <= floor(trunc) + 1 reaches every power below the truncation.
+    """
+    up = [(p + 1, k) for p, k in e.generators]
+    pairs = [(sum(p for p, _ in terms) - 1, sum(k for _, k in terms))
+             for j in range(1, math.floor(trunc) + 2)
+             for terms in itertools.combinations_with_replacement(up, j)]
+    return ix.IndexSet.make(pairs, trunc)
+
+
 def _reapply(r, trunc):
-    """One application of each defining map to a claimed fixed point."""
+    """One application of each defining map, with every j-fold sum, to a claimed fixed point."""
     z = ix.IndexSet.zero(trunc)
     two_down = ix.shift(ix.sum_sets(r.ei, r.ei), 1).restrict(trunc)
     new_prime = ix.extended_union(r.e0, two_down).restrict(trunc)
@@ -217,9 +234,8 @@ def _reapply(r, trunc):
         ix.sum_sets(r.ei, r.ei_prime).restrict(trunc),
         ix.sum_sets(r.ei_bar, r.ei_bar).restrict(trunc),
     )
-    new_ei = ix.extended_union(z, r.e0, inner2).restrict(trunc)
-    for t in ix._nonlinear_closure_terms(r.ei, trunc):
-        new_ei = ix.union(new_ei, t.restrict(trunc))
+    new_ei = ix.union(ix.extended_union(z, r.e0, inner2).restrict(trunc),
+                      _nonlinear_terms(r.ei, trunc))
     mi = ix.IndexSet.single(1, 0, trunc)
     new_plus = ix.union(
         ix.extended_union(mi, z),
@@ -228,10 +244,13 @@ def _reapply(r, trunc):
     return new_prime, new_bar, new_ei, new_plus
 
 
-@pytest.mark.parametrize("seed_pairs,flag", [([], True), ([(1, 0)], True), ([(1, 0)], False), ([(F(3, 2), 1)], True)])
+@pytest.mark.parametrize("seed_pairs,flag", [([], True), ([(1, 0)], True), ([(1, 0)], False), ([(F(3, 2), 1)], True),
+                                            ([(1, 2)], True), ([(1, 1)], False)])
 def test_recursion_results_are_fixed_points(seed_pairs, flag):
     seed = ix.IndexSet.make(seed_pairs, N)
     r = ix.solve_index_recursion(seed, N, include_elog_prime=flag)
+    assert ix.union(r.e0, ix.sum_sets(r.e0, ix.elog_prime(N) if flag else ix.IndexSet.empty(N)),
+                    _nonlinear_terms(r.e0, N)) == r.e0
     new_prime, new_bar, new_ei, new_plus = _reapply(r, N)
     assert new_prime == r.ei_prime
     assert new_bar == r.ei_bar
@@ -240,6 +259,28 @@ def test_recursion_results_are_fixed_points(seed_pairs, flag):
     # nesting of the radiation-face sets
     assert r.ei_bar.contains(r.ei_prime)
     assert r.ei.contains(r.ei_bar)
+
+
+@pytest.mark.parametrize("seed_pairs,trunc,steps", [([(1, 2)], F(5, 4), 6), ([(1, 1), (2, 3)], F(9, 4), 9)])
+def test_recursion_takes_three_steps_per_power_level(seed_pairs, trunc, steps):
+    # c = 1: these take 3 (floor(trunc) + 1) steps, one below the cap
+    for flag in (True, False):
+        r = ix.solve_index_recursion(ix.IndexSet.make(seed_pairs, trunc), trunc, include_elog_prime=flag)
+        assert r.iterations_used == steps
+
+
+@given(
+    st.lists(st.tuples(st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
+                       st.integers(min_value=0, max_value=4)), max_size=2),
+    st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_recursion_stabilizes_within_its_step_cap(seed_pairs, trunc, flag):
+    try:
+        ix.solve_index_recursion(ix.IndexSet.make(seed_pairs, trunc), trunc, include_elog_prime=flag)
+    except ValueError:
+        pass  # drop_zero_log rejects a seed power between 0 and 1; only RuntimeError fails here
 
 
 def test_recursion_monotone_in_seed():
