@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import sympy as sp
@@ -213,16 +214,21 @@ def hawking_mass_of_cut(cut: SphereCut, w):
 # -- news tensors and the mass aspect ----------------------------------------
 
 
+@cache
 def real_spherical_harmonic(ell, em):
     Y = sp.Znm(ell, em, TH, PH)
     return sp.simplify(sp.expand_func(Y.rewrite(sp.Ynm)))
 
 
+@cache
 def tensor_harmonic(ell, em):
-    """Trace-free symmetric spherical 2-tensor from a scalar harmonic."""
+    """Trace-free symmetric spherical 2-tensor from a scalar harmonic.
+
+    Memoised, so the matrix is immutable.
+    """
     Y = real_spherical_harmonic(ell, em)
     hessian = sphere_cov_vector([sp.diff(Y, TH), sp.diff(Y, PH)])
-    return sp.simplify(hessian - ROUND_METRIC * sphere_trace(hessian) / 2)
+    return sp.ImmutableMatrix(sp.simplify(hessian - ROUND_METRIC * sphere_trace(hessian) / 2))
 
 
 def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):

@@ -4,6 +4,11 @@ Velocities are fixed points of the update v(s) = v(inf) + int_s^inf Gamma v v,
 with the improper integrals carried out in the reciprocal variable so that
 the anchoring at the radiation face is exact up to a reported tail bound.
 Targets are batched: one call integrates a whole congruence.
+
+Each sweep evaluates the metric once along the current positions.  On a
+perturbed metric the force Gamma v v is the first-kind symbols contracted
+with v and solved with g, so neither the connection nor the inverse metric
+is formed; only the unperturbed metric uses its closed-form connection.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import MetricField, schwarzschild_exact
-from . import tensors
 
 
 def _cumulative_simpson(H, h):
@@ -35,15 +39,24 @@ def _cumulative_simpson(H, h):
     return out
 
 
-def _christoffel_at(metric: MetricField, x):
-    """Connection coefficients along sampled points; closed form when unperturbed."""
+def _sweep_force(metric: MetricField, x):
+    """The map v -> Gamma^k_mn v^m v^n along sampled points, from one evaluation."""
     if metric.h is None:
         r = metric.radius(x[..., 0], x[..., 1])
-        return schwarzschild_exact(r.ravel(), x[..., 2].ravel(), metric.m).gamma.reshape(
+        gam = schwarzschild_exact(r.ravel(), x[..., 2].ravel(), metric.m).gamma.reshape(
             x.shape[:-1] + (4, 4, 4)
         )
+        return lambda v: np.einsum("...kmn,...m,...n->...k", gam, v, v)
     ev = metric.at(x[..., 0], x[..., 1], x[..., 2], x[..., 3])
-    return tensors.christoffel(ev).reshape(x.shape[:-1] + (4, 4, 4))
+    g, dg = ev.g, ev.dg
+
+    def force(v):
+        # dv[k, m] = d_k g_mn v^n;  F_l = Gamma_lmn v^m v^n = dv[m, l] v^m - dv[l, m] v^m / 2
+        dv = np.einsum("...kmn,...n->...km", dg, v)
+        F = np.einsum("...ml,...m->...l", dv, v) - 0.5 * np.einsum("...lm,...m->...l", dv, v)
+        return np.linalg.solve(g, F[..., None])[..., 0]
+
+    return force
 
 
 @dataclass
@@ -187,8 +200,8 @@ def integrate_radial_null_geodesic(
         x[..., 1] = x1bar - Tx[1]
         x[..., 2:] = angles[:, None, :] - np.moveaxis(Tx[2:], 0, -1)
 
-        gam = _christoffel_at(metric, x).reshape((ntar, ns, 4, 4, 4))
-        acc = np.einsum("...kmn,...m,...n->...k", gam, v, v)
+        force = _sweep_force(metric, x)
+        acc = force(v)
         Tv, tail_bound = tail_integrals(np.moveaxis(acc, -1, 0))
         v_new = vinf + np.moveaxis(Tv, 0, -1)
         change = float(np.max(np.abs(v_new - v)))
@@ -211,8 +224,8 @@ def integrate_radial_null_geodesic(
     if tail_bound > 1e-8:
         warnings.warn(f"tail truncation bound {tail_bound:.2e} exceeds 1e-08")
 
-    # x has not moved since the last sweep, so its connection is still gam
-    acc = -np.einsum("...kmn,...m,...n->...k", gam, v, v)
+    # x has not moved since the last sweep, so its force still applies
+    acc = -force(v)
 
     if squeeze:
         x, v, acc = x[0], v[0], acc[0]

@@ -282,6 +282,11 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
         raise ValueError("truncation must be positive")
     if not e00.is_empty and e00.min_power <= 0:
         raise ValueError("the seed set must have positive minimal power")
+    seed = e00.restrict(trunc)
+    # ei holds the power-0 slot and every seed generator, so drop_zero_log(ei)
+    # below would reject such a seed; reject it before closing anything
+    if any(0 < p < 1 for p, _ in seed.generators):
+        raise ValueError("drop_zero_log expects no generators strictly between 0 and 1")
 
     # A step writes each log bound from bounds at powers at most its own, and
     # every nonzero power is at least c.  A read that may stay at the same power
@@ -294,7 +299,7 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
     ep = elog_prime(trunc) if include_elog_prime else IndexSet.empty(trunc)
     e0, _ = _least_fixed_point(
         lambda e: union(e, sum_sets(e, ep), shift(sum_sets(e, e), 1)),
-        e00.restrict(trunc), cap, "closure of the spatial index set",
+        seed, cap, "closure of the spatial index set",
     )
     zero = IndexSet.zero(trunc)
 
@@ -304,8 +309,8 @@ def solve_index_recursion(e00: IndexSet, truncation, include_elog_prime: bool) -
         return (
             extended_union(e0, two_ei_down),
             union(zero, extended_union(e0, union(sum_sets(ei_bar, ei_prime), two_ei_down))),
-            union(extended_union(zero, e0, union(sum_sets(ei, ei_prime), sum_sets(ei_bar, ei_bar))),
-                  two_ei_down),
+            # two_ei_down lies in ei_prime, and ei holds power 0, so ei + ei_prime covers it
+            extended_union(zero, e0, union(sum_sets(ei, ei_prime), sum_sets(ei_bar, ei_bar))),
         )
 
     empty = IndexSet.empty(trunc)

@@ -270,6 +270,14 @@ def test_mass_aspect_pointwise_vs_mean():
 # -- boundary data mass -------------------------------------------------------------
 
 
+def test_harmonics_are_memoised_and_the_tensor_cannot_be_mutated():
+    E = bd.tensor_harmonic(2, 0)
+    assert bd.tensor_harmonic(2, 0) is E
+    assert bd.real_spherical_harmonic(2, 0) is bd.real_spherical_harmonic(2, 0)
+    with pytest.raises(TypeError, match="Cannot set values"):
+        E[0, 0] = 0
+
+
 @pytest.mark.parametrize("ell, em", [(2, 0), (2, 1)])
 def test_double_divergence_of_tensor_harmonic_closed_form(ell, em):
     # nabla^a nabla^b (nabla_a nabla_b Y - ghat_ab Lap Y / 2) = (L^2 / 2 - L) Y with L = l (l + 1)

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nullinf import geodesics
+from nullinf import bondi, geodesics, tensors
 from nullinf.compactify import inverse_tortoise
-from nullinf.geodesics import _christoffel_at, _cumulative_simpson, integrate_radial_null_geodesic, retarded_time
-from nullinf.metrics import MetricField, PerturbationField, Weights, rate_saturating_field
+from nullinf.geodesics import _cumulative_simpson, _sweep_force, integrate_radial_null_geodesic, retarded_time
+from nullinf.metrics import RHO0, MetricField, PerturbationField, Weights, rate_saturating_field, schwarzschild_exact
 
 warnings.filterwarnings("ignore", message="tail truncation")
 
@@ -140,25 +140,66 @@ def test_retarded_time_derivative_matches_long_range_term():
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_one_connection_evaluation_per_sweep(monkeypatch, perturbed):
-    # the returned acceleration reuses the last sweep's connection at the final x
+    # one metric (or closed-form) evaluation per sweep; the returned
+    # acceleration reuses the last sweep's at the final x and adds none
     g = MetricField(0.1, rate_saturating_field() if perturbed else None)
     calls = []
 
-    def counted(metric, x):
-        calls.append(x.shape)
-        return _christoffel_at(metric, x)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(np.size(args[1]))  # q, or theta of the closed form
+            return fn(*args)
 
-    monkeypatch.setattr(geodesics, "_christoffel_at", counted)
+        return wrapper
+
+    monkeypatch.setattr(MetricField, "at", counted(MetricField.at))
+    monkeypatch.setattr(geodesics, "schwarzschild_exact", counted(schwarzschild_exact))
     traj = integrate_radial_null_geodesic(g, -30.0, np.array([[1.1, 0.7], [0.4, 2.0]]), s0=30.0)
     assert len(calls) == traj.iterations
-    gam = _christoffel_at(g, traj.x)
-    assert np.array_equal(traj.acc, -np.einsum("...kmn,...m,...n->...k", gam, traj.v, traj.v))
+    assert set(calls) == {traj.x[..., 0].size}
+    assert np.array_equal(traj.acc, -_sweep_force(g, traj.x)(traj.v))
+
+
+def _gamma_route_force(metric, x):
+    """The reference the sweep force replaces: the connection, contracted twice with v."""
+    if metric.h is None:
+        r = metric.radius(x[..., 0], x[..., 1])
+        gam = schwarzschild_exact(r.ravel(), x[..., 2].ravel(), metric.m).gamma.reshape(x.shape[:-1] + (4, 4, 4))
+    else:
+        gam = tensors.christoffel(metric.at(x[..., 0], x[..., 1], x[..., 2], x[..., 3]))
+    return lambda v: np.einsum("...kmn,...m,...n->...k", gam, v, v)
+
+
+def _news_field():
+    h, _ = bondi.news_compatible_field(0.1, 1 / (1 + 5 * RHO0))
+    return h
+
+
+@pytest.mark.parametrize("field", [None, rate_saturating_field, _news_field])
+def test_sweep_force_matches_the_connection_route(monkeypatch, field):
+    g = MetricField(0.1, field() if field else None)
+    targets = np.array([[1.1, 0.7], [0.4, 2.0], [2.5, 4.0]])
+    traj = integrate_radial_null_geodesic(g, -20.0, targets, s0=20.0)
+    monkeypatch.setattr(geodesics, "_sweep_force", _gamma_route_force)
+    ref = integrate_radial_null_geodesic(g, -20.0, targets, s0=20.0)
+    assert traj.iterations == ref.iterations
+    if field is None:
+        for got, want in ((traj.x, ref.x), (traj.v, ref.v), (traj.acc, ref.acc)):
+            assert np.array_equal(got, want)
+        return
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(_sweep_force(g, ref.x)(ref.v), _gamma_route_force(g, ref.x)(ref.v)) <= 1e-14
+    assert rel(traj.x, ref.x) <= 1e-13
+    assert rel(traj.v, ref.v) <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2), (3,), (4, 3), ()])
 def test_target_shapes_other_than_one_pair_or_a_list_are_rejected(monkeypatch, shape):
-    # before the first sweep: no connection is evaluated
-    monkeypatch.setattr(geodesics, "_christoffel_at", None)
+    # before the first sweep: no force is built
+    monkeypatch.setattr(geodesics, "_sweep_force", None)
     with pytest.raises(ValueError, match=r"target_angles must have shape \(2,\) or \(n, 2\), got "):
         integrate_radial_null_geodesic(MetricField(0.1), -30.0, np.ones(shape))
 

@@ -280,7 +280,7 @@ def test_recursion_stabilizes_within_its_step_cap(seed_pairs, trunc, flag):
     try:
         ix.solve_index_recursion(ix.IndexSet.make(seed_pairs, trunc), trunc, include_elog_prime=flag)
     except ValueError:
-        pass  # drop_zero_log rejects a seed power between 0 and 1; only RuntimeError fails here
+        pass  # a seed power between 0 and 1 is rejected; only RuntimeError fails here
 
 
 def test_recursion_monotone_in_seed():
@@ -298,8 +298,15 @@ def test_recursion_rejects_nonpositive_seed():
         ix.solve_index_recursion(ix.IndexSet.zero(N), N, include_elog_prime=True)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_seed_power_between_0_and_1_is_rejected_before_any_closure(monkeypatch, flag):
+    monkeypatch.setattr(ix, "sum_sets", None)
+    with pytest.raises(ValueError, match="drop_zero_log expects no generators strictly between 0 and 1"):
+        ix.solve_index_recursion(ix.IndexSet.single(F(1, 8), 4, N), N, include_elog_prime=flag)
+
+
 #: seeds and truncations of the pinned grid; a seed power between 0 and 1 below
-#: the truncation makes drop_zero_log raise, and that error is pinned with the rest
+#: the truncation is rejected with drop_zero_log's error, pinned with the rest
 GRID_SEEDS = ([], [(1, 0)], [(F(3, 2), 1)], [(F(1, 2), 0)], [(1, 1), (2, 3)], [(F(1, 3), 0)],
               [(F(1, 2), 0), (1, 2)], [(2, 0)])
 GRID_TRUNCATIONS = (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3, F(7, 2), 4)
