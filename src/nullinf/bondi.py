@@ -5,6 +5,13 @@ geometry: sphere tangents and curvatures come from angular stencils of
 trajectories, masses from quadrature over the cuts, and the retarded-time
 evolution of the mass aspect from the leading transport law of the gauged
 field equations, with radiated flux entering at the calibrated coefficient.
+
+The angular data of the news modes (ell, em) = (2, 0) and (2, 1) are exact
+sympy literals, each written with the ``srepr`` that ``sp.simplify`` returned
+for it.  The compiled code, and so every output bit, depends on the form of a
+tree and not only on its value, so the literals must keep that ``srepr``.
+They replace the ``sp.simplify`` calls that took most of the news field's
+set-up; one call is left, on the long component of ``news_compatible_field``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
 
 from .geodesics import integrate_radial_null_geodesic
-from .metrics import (PH, RHO0, RHOI, TH, ROUND_METRIC, MetricField, PerturbationField, Weights, compile_fields,
+from .metrics import (PH, RHO0, RHOI, TH, MetricField, PerturbationField, Weights, compile_fields,
                       round_metric, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
@@ -66,17 +74,17 @@ class Congruence:
     def affine_at_radius(self, r_coord):
         """Affine parameters where each congruence member crosses the radius."""
         r = self._radius_along()
+        if r[:, 0].max() > r_coord or r[:, -1].min() < r_coord:
+            raise ValueError(
+                f"radius {r_coord} is outside the congruence window "
+                f"[{r[:, 0].max():.3g}, {r[:, -1].min():.3g}]"
+            )
         tau = np.log(self.traj.s)
         lr = np.log(r)
         target = math.log(r_coord)
         out = np.empty(r.shape[0])
         for i in range(r.shape[0]):
             out[i] = np.exp(np.interp(target, lr[i], tau))
-        if r[:, 0].max() > r_coord or r[:, -1].min() < r_coord:
-            raise ValueError(
-                f"radius {r_coord} is outside the congruence window "
-                f"[{r[:, 0].max():.3g}, {r[:, -1].min():.3g}]"
-            )
         # Newton refinement on the interpolated trajectory: r* = (q - s) / 2, so
         # dr/ds = (1 - 2m/r) (v0 - v1) / 2
         lo, hi = self.traj.s[0], self.traj.s[-1]
@@ -214,21 +222,78 @@ def hawking_mass_of_cut(cut: SphereCut, w):
 # -- news tensors and the mass aspect ----------------------------------------
 
 
+#: the (ell, em) modes whose angular data are written out in ``_angular_table``
+HARMONIC_MODES = ((2, 0), (2, 1))
+
+
+class _Angular(NamedTuple):
+    """Angular data of one mode: Y, E, (1/2) div E, div div E and E.E."""
+
+    Y: sp.Expr
+    E: sp.ImmutableMatrix
+    half_div: tuple
+    div_div: sp.Expr
+    square: sp.Expr
+
+
 @cache
+def _angular_table():
+    """Exact angular data of every implemented mode, built on first use.
+
+    Each entry is the literal whose ``srepr`` equals what ``sp.simplify``
+    returns for it under sympy 1.14: Y from ``Znm`` expanded, E from the
+    trace-free Hessian of Y, and the divergences and square of E with the
+    round-sphere calculus of ``metrics``.  Keep every literal exactly as it is,
+    the ``tan(theta)`` form of E(2, 1)'s theta-phi entry included: the trees
+    downstream, and so the compiled bits, depend on the form and not only on
+    the value (``tests/test_compiled_trees.py``).
+    """
+    sin, cos, tan = sp.sin, sp.cos, sp.tan
+    r5, r15, rpi = sp.sqrt(5), sp.sqrt(15), sp.sqrt(sp.pi)
+    e21_mixed = r15 * (-sin(2 * TH) + 2 * cos(2 * TH) * tan(TH)) * sin(PH) / (4 * rpi * tan(TH))
+    return {
+        (2, 0): _Angular(
+            Y=r5 * (3 * cos(TH) ** 2 - 1) / (4 * rpi),
+            E=sp.ImmutableMatrix([[3 * r5 * sin(TH) ** 2 / (4 * rpi), 0], [0, -3 * r5 * sin(TH) ** 4 / (4 * rpi)]]),
+            half_div=(3 * r5 * sin(2 * TH) / (4 * rpi), sp.S.Zero),
+            div_div=r5 * (6 - 9 * sin(TH) ** 2) / rpi,
+            square=45 * sin(TH) ** 4 / (8 * sp.pi),
+        ),
+        (2, 1): _Angular(
+            Y=-r15 * sin(2 * TH) * cos(PH) / (4 * rpi),
+            E=sp.ImmutableMatrix([[r15 * sin(2 * TH) * cos(PH) / (4 * rpi), e21_mixed],
+                                  [e21_mixed, -r15 * sin(TH) ** 3 * cos(PH) * cos(TH) / (2 * rpi)]]),
+            half_div=(r15 * (1 - 2 * sin(TH) ** 2) * cos(PH) / (2 * rpi),
+                      -r15 * (cos(PH - 2 * TH) - cos(PH + 2 * TH)) / (8 * rpi)),
+            div_div=3 * r15 * (sin(PH - 2 * TH) - sin(PH + 2 * TH)) / (2 * rpi),
+            # 15/16 before the sum: an integer times a bare sum would be distributed over it
+            square=sp.Rational(15, 16) / sp.pi * (2 * (sin(2 * TH) - 2 * cos(2 * TH) * tan(TH)) ** 2 * sin(PH) ** 2
+                                                 + 8 * sin(TH) ** 6 * cos(PH) ** 2) / (sin(TH) ** 2 * tan(TH) ** 2),
+        ),
+    }
+
+
+def _angular(ell, em):
+    """The table entry of mode (ell, em); any other mode is rejected first."""
+    if (ell, em) not in HARMONIC_MODES:
+        raise ValueError(f"harmonic modes {', '.join(map(str, HARMONIC_MODES))} are implemented, not ({ell}, {em})")
+    return _angular_table()[ell, em]
+
+
 def real_spherical_harmonic(ell, em):
-    Y = sp.Znm(ell, em, TH, PH)
-    return sp.simplify(sp.expand_func(Y.rewrite(sp.Ynm)))
+    """Real spherical harmonic Y_(ell, em) on (theta, phi); the same object on every call."""
+    return _angular(ell, em).Y
 
 
-@cache
 def tensor_harmonic(ell, em):
     """Trace-free symmetric spherical 2-tensor from a scalar harmonic.
 
-    Memoised, so the matrix is immutable.
+    E = nabla nabla Y - ghat Lap Y / 2, read from ``_angular_table``.  Its
+    literals must keep their ``srepr``: a tidier but equal tree compiles to
+    different code and moves output bits.  The matrix is immutable and the
+    same object on every call.
     """
-    Y = real_spherical_harmonic(ell, em)
-    hessian = sphere_cov_vector([sp.diff(Y, TH), sp.diff(Y, PH)])
-    return sp.ImmutableMatrix(sp.simplify(hessian - ROUND_METRIC * sphere_trace(hessian) / 2))
+    return _angular(ell, em).E
 
 
 def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
@@ -237,17 +302,16 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     The spherical part carries the news; the mixed and long components are
     fixed by the angular and long-direction gauge relations (including the
     quadratic term), so cut geometry reproduces the boundary mass formulas.
-    ``profile`` is a sympy expression in the spatial-face defining function.
+    ``profile`` is a sympy expression in the spatial-face defining function;
+    ``mode`` is one of ``HARMONIC_MODES``.
     """
-    E = tensor_harmonic(*mode)
+    ang = _angular(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
-    hmat = A * E
-    divh = sphere_div_tensor(hmat)
-    h1b = [sp.simplify(divh[0] / 2), sp.simplify(divh[1] / 2)]
-    divdiv = sp.simplify(sphere_trace(sphere_cov_vector(divh)))
+    hmat = A * ang.E
+    # A depends on rho0 alone and the angular operators are linear, so
+    # div(A E) = A div E and div div(A E) = A div div E
     dA = RHO0**2 * sp.diff(A, RHO0)
-    e2 = sp.simplify(sphere_dot(E, E))
-    h11 = sp.simplify(A * divdiv / 2 - A * dA * e2 / 2)
+    h11 = sp.simplify(A * A * ang.div_div / 2 - A * dA * ang.square / 2)
     log_coeff = 0
     if with_log:
         log_coeff = sp.nsimplify(with_log) * (1 + sp.cos(TH) ** 2)
@@ -256,8 +320,8 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
         "22": hmat[0, 0],
         "23": hmat[0, 1],
         "33": hmat[1, 1],
-        "12": h1b[0],
-        "13": h1b[1],
+        "12": A * ang.half_div[0],
+        "13": A * ang.half_div[1],
         "11": h11,
     }
     return PerturbationField(comps, Weights(0.45, 0.3, 0.4, -0.1), label="news-compatible"), log_coeff

@@ -278,7 +278,29 @@ def test_harmonics_are_memoised_and_the_tensor_cannot_be_mutated():
         E[0, 0] = 0
 
 
-@pytest.mark.parametrize("ell, em", [(2, 0), (2, 1)])
+def test_simplify_runs_once_per_news_field_and_never_for_a_harmonic(monkeypatch):
+    calls = []
+    simplify = sp.simplify
+    monkeypatch.setattr(sp, "simplify", lambda e: calls.append(e) or simplify(e))
+    bd._angular_table.cache_clear()
+    for ell, em in bd.HARMONIC_MODES:
+        bd.tensor_harmonic(ell, em)
+    assert calls == []
+    bd.news_compatible_field(0.1, 1 / (1 + 5 * RHO0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [bd.real_spherical_harmonic, bd.tensor_harmonic,
+                                  lambda ell, em: bd.news_compatible_field(0.1, 1, mode=(ell, em))])
+@pytest.mark.parametrize("mode", [(3, 0), (2, 2), (2, -1)])
+def test_a_mode_outside_the_table_is_rejected_before_any_sympy_work(monkeypatch, call, mode):
+    monkeypatch.setattr(bd, "sp", None)
+    monkeypatch.setattr(bd, "_angular_table", None)
+    with pytest.raises(ValueError, match=r"^harmonic modes \(2, 0\), \(2, 1\) are implemented, not "):
+        call(*mode)
+
+
+@pytest.mark.parametrize("ell, em", bd.HARMONIC_MODES)
 def test_double_divergence_of_tensor_harmonic_closed_form(ell, em):
     # nabla^a nabla^b (nabla_a nabla_b Y - ghat_ab Lap Y / 2) = (L^2 / 2 - L) Y with L = l (l + 1)
     big_l = ell * (ell + 1)

@@ -33,6 +33,11 @@ def _news_field(tmp_path):
     metrics.MetricField(0.1, h)
 
 
+def _news_field_20(tmp_path):
+    h, _ = bondi.news_compatible_field(0.1, 1 / (1 + 5 * metrics.RHO0))
+    metrics.MetricField(0.1, h)
+
+
 def _manufactured(tmp_path):
     q, s, th, ph = np.array([60.0, 80.0]), np.array([-10.0, -12.0]), np.array([1.1, 0.4]), np.array([0.7, 2.0])
     for h in metrics.manufactured_suite():
@@ -50,6 +55,8 @@ CASES = {
         "b6f7c0985712d9db84a60cb6a417da520253a43e9f61226a11a68aa82b8c1f50"),
     "news-field-(2,1)-log": (_news_field,
         "1b2013ae33780b65ddad2d367d14ad659151b0298952f1c70eae006348c7267e"),
+    "news-field-(2,0)": (_news_field_20,
+        "cd8c360aabfa9162319d6778b6ded019e60d768caed7676827b42841a4a61cd7"),
     "manufactured-residual-and-coupling": (_manufactured,
         "f2eee794b5e6fdad58fac1a419bca3a18e8c2b45efab7e09f7e2031c3f7ff7f4"),
 }

@@ -22,6 +22,7 @@ GUARDS = {
     "news-support": (lambda: bd.evolve_mass_aspect(_news(), 0.1, np.linspace(0.0, 5.0, 11)),
                      "news support must lie inside the retarded-time grid"),
     "scattering-mode": (lambda: bd.scattering_solution(3, 0.5), "modes 0, 1, 2 are implemented"),
+    "harmonic-mode": (lambda: bd.tensor_harmonic(3, 0), r"harmonic modes \(2, 0\), \(2, 1\) are implemented"),
     "weights-order": (lambda: metrics.Weights(b_plus=0.1), "weights must satisfy"),
     "schwarzschild-horizon": (lambda: metrics.schwarzschild_exact(0.2, 1.0, 0.1), r"need r > 2m and r > 0"),
     "grid-mode-number": (lambda: mp.CharacteristicGrid(ell=-1), "mode number must be nonnegative"),
@@ -41,3 +42,10 @@ def test_guard_rejects_a_bad_argument(name):
     call, message = GUARDS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_congruence_window_is_checked_before_interpolating(monkeypatch):
+    con = _congruence()
+    monkeypatch.setattr(np, "interp", None)
+    with pytest.raises(ValueError, match="outside the congruence window"):
+        con.affine_at_radius(1e12)
