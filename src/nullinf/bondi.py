@@ -369,8 +369,6 @@ class BondiReport:
     flux: np.ndarray              # E(u)
     budget_residual: np.ndarray
     mass_aspect: np.ndarray       # (n_u, n_nodes)
-    theta: np.ndarray
-    phi: np.ndarray
 
 
 def _cumulative_trapezoid(f, u):
@@ -405,7 +403,7 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
     mass = m + (0.25 / math.pi) * (mu @ w)
     flux = (n2 @ w) / (32.0 * math.pi)
     budget = np.abs(mass - mass[0] + _cumulative_trapezoid(flux, u))
-    return BondiReport(u, mass, flux, budget, aspect, th, ph)
+    return BondiReport(u, mass, flux, budget, aspect)
 
 
 def bondi_mass_from_data(log_coeff, h_sphere, m):

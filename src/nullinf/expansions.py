@@ -5,6 +5,10 @@ with rational powers, plus a remainder order.  Transport solves the regular
 singular model ODEs term by term in closed form; coefficients stay exact
 (``Fraction``) whenever the input is exact.  A small separated bivariate
 variant supports the two-face transport used near a corner.
+
+On log monomials both transports are a number plus a nilpotent derivative in
+the logs: off resonance one finite Neumann series solves them, and at the corner
+resonance the logs change to their sum and difference, where the field is 2 d/dB.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from .indexsets import IndexSet, _frac
 
 def _coeff(c):
     # an int is exact input too; a Fraction p times a float c is float(p) * c
-    return Fraction(c) if isinstance(c, (Fraction, int)) else float(c)
+    if isinstance(c, (Fraction, int)):
+        return Fraction(c)
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"coefficient {c!r} is not finite")
+    return c
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,18 @@ class PolyhomExpansion:
         return IndexSet.make([(p, k) for p, k, _ in self.terms], self.remainder_order)
 
 
+def _neumann(delta, f, derivative):
+    """Solve (delta + D) u = f, delta != 0, for a nilpotent ``derivative`` D on maps from log
+    exponents to coefficients, as the finite sum of (-D)^j f / delta^(j+1)."""
+    u, minus = {}, -delta
+    term = {key: c / delta for key, c in f.items()}
+    while term:
+        for key, c in term.items():
+            u[key] = u[key] + c if key in u else c
+        term = {key: c / minus for key, c in derivative(term).items()}
+    return u
+
+
 def differentiate_rho(u: PolyhomExpansion) -> PolyhomExpansion:
     """Apply rho d/drho exactly, term by term."""
     out = []
@@ -84,14 +105,9 @@ def transport_rho(f: PolyhomExpansion) -> tuple[PolyhomExpansion, IndexSet]:
         if p == 0:
             out.append((p, k + 1, c / (k + 1)))
         else:
-            a = c / p
-            j = k
-            terms_here = [(p, j, a)]
-            while j > 0:
-                a = -j * a / p
-                j -= 1
-                terms_here.append((p, j, a))
-            out.extend(terms_here)
+            # rho d/drho acts on rho^p L^j as p + d/dL
+            part = _neumann(p, {k: c}, lambda t: {j - 1: j * a for j, a in t.items() if j > 0})
+            out += [(p, j, a) for j, a in part.items()]
     u = PolyhomExpansion.make(out, f.remainder_order)
 
     hull = f.index_hull()
@@ -157,54 +173,26 @@ def differentiate_two_face(u: ProductExpansion) -> ProductExpansion:
     return ProductExpansion.make(out)
 
 
-def _solve_two_face_monomial(p1, k1, p2, k2, c):
-    """Particular solution of the two-face transport for one product term."""
-    if p1 != p2:
-        # triangular elimination over log monomials, highest total degree first
-        residual = {(k1, k2): c}
-        out = {}
-        while residual:
-            (a, b) = max(residual, key=lambda ab: (ab[0] + ab[1], ab[0]))
-            coef = residual.pop((a, b))
-            lead = coef / (p1 - p2)
-            out[(a, b)] = out.get((a, b), 0) + lead
-            if a > 0:
-                residual[(a - 1, b)] = residual.get((a - 1, b), 0) - a * lead
-                if residual[(a - 1, b)] == 0:
-                    residual.pop((a - 1, b))
-            if b > 0:
-                residual[(a, b - 1)] = residual.get((a, b - 1), 0) + b * lead
-                if residual[(a, b - 1)] == 0:
-                    residual.pop((a, b - 1))
-        return [(p1, a, p2, b, v) for (a, b), v in out.items()]
+def _corner_derivative(t):
+    """d/dL1 - d/dL2 on a map (a, b) -> coefficient of L1^a L2^b."""
+    out = {}
+    for (a, b), c in t.items():
+        if a > 0:
+            out[a - 1, b] = out.get((a - 1, b), 0) + a * c
+        if b > 0:
+            out[a, b - 1] = out.get((a, b - 1), 0) - b * c
+    return out
 
-    # coincident powers: rewrite logs in the sum/difference pair (A, B);
-    # the operator acts as 2 d/dB, so integrate the B-polynomial.
-    half = Fraction(1, 2)
-    poly: dict[tuple[int, int], object] = {}
-    for i in range(k1 + 1):
-        for j in range(k2 + 1):
-            coef = (
-                c
-                * math.comb(k1, i)
-                * math.comb(k2, j)
-                * (-1) ** (k2 - j)
-                * half ** (k1 + k2)
-            )
-            key = (i + j, (k1 - i) + (k2 - j))  # (A-degree, B-degree)
-            poly[key] = poly.get(key, 0) + coef
-    integ = {}
-    for (da, db), coef in poly.items():
-        integ[(da, db + 1)] = integ.get((da, db + 1), 0) + coef * half / (db + 1)
-    out = []
-    for (da, db), coef in integ.items():
-        if coef == 0:
-            continue
-        # back to log monomials: A^da B^db with A = L1+L2, B = L1-L2
-        for i in range(da + 1):
-            for j in range(db + 1):
-                cc = coef * math.comb(da, i) * math.comb(db, j) * (-1) ** (db - j)
-                out.append((p1, i + j, p2, (da - i) + (db - j), cc))
+
+def _sum_difference(poly):
+    """Expand each x^i y^j of ``poly`` as (x + y)^i (x - y)^j: a polynomial in A = L1 + L2,
+    B = L1 - L2 back in the logs, or 2^(i + j) L1^i L2^j in A and B."""
+    out = {}
+    for (i, j), c in poly.items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                key = (a + b, (i - a) + (j - b))
+                out[key] = out.get(key, 0) + c * math.comb(i, a) * math.comb(j, b) * (-1) ** (j - b)
     return out
 
 
@@ -215,8 +203,15 @@ def transport_two_face(f: ProductExpansion, truncation) -> tuple[ProductExpansio
     order wherever the two face hulls overlap.
     """
     out = []
-    for term in f.terms:
-        out.extend(_solve_two_face_monomial(*term))
+    for p1, k1, p2, k2, c in f.terms:
+        if p1 != p2:
+            # the field acts on rho1^p1 rho2^p2 L1^a L2^b as (p1 - p2) + d/dL1 - d/dL2
+            part = _neumann(p1 - p2, {(k1, k2): c}, _corner_derivative)
+        else:
+            # coincident powers: in A = L1 + L2, B = L1 - L2 the field is 2 d/dB; take 1/2 of the B-integral
+            ab = _sum_difference({(k1, k2): c * Fraction(1, 2) ** (k1 + k2 + 1)})
+            part = _sum_difference({(a, b + 1): v / (b + 1) for (a, b), v in ab.items()})
+        out += [(p1, a, p2, b, v) for (a, b), v in part.items()]
     u = ProductExpansion.make(out)
     trunc = _frac(truncation)
     e1 = f.face_hull(1, trunc)

@@ -31,7 +31,7 @@ def _frac(x) -> Fraction:
     elif isinstance(x, str):
         f = Fraction(x)
     elif isinstance(x, float):
-        if not x == int(x):
+        if not x.is_integer():  # also false for inf and nan
             raise ValueError(f"power {x!r} is not exactly representable; pass a Fraction")
         f = Fraction(int(x))
     else:

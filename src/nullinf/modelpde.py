@@ -106,13 +106,8 @@ class ModeSolution:
         return fit_leading_terms(self.grid.rhoI, col, model)
 
     def rhoI_log_derivative(self):
-        """rhoI d/drhoI of u by centered differences on the log grid."""
-        h = self.grid.h
-        out = np.empty_like(self.u)
-        out[:, 1:-1] = (self.u[:, 2:] - self.u[:, :-2]) / (2.0 * h)
-        out[:, 0] = (self.u[:, 1] - self.u[:, 0]) / h
-        out[:, -1] = (self.u[:, -1] - self.u[:, -2]) / h
-        return out
+        """rhoI d/drhoI of u by centered differences on the log grid, one-sided at its ends."""
+        return np.gradient(self.u, self.grid.h, axis=1)
 
     def d1(self):
         """The flat outgoing-null derivative through the corner frame (m = 0)."""

@@ -6,10 +6,11 @@ handed to a closure counts as read.  Names starting with ``_`` are exempt.
 No unused settings either: every default of a parameter or of a class field
 is passed by some call in the package, the tests or the benchmark, no
 default is overridden with the same constant expression by every call, and
-every annotated class field is read somewhere.  Every name bound at the top
-level of a module is loaded or imported somewhere, and every method is named
-by an attribute load.  Calls are matched by the name of the function, method
-or class only, so a call of any function of the same name counts.
+every annotated class field is read somewhere, on a receiver not known to be
+another class.  Every name bound at the top level of a module is loaded or
+imported somewhere, and every method is named by an attribute load.  Calls
+are matched by the name of the function, method or class only, so a call of
+any function of the same name counts.
 """
 
 import ast
@@ -161,13 +162,93 @@ def _attribute_loads(trees):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_nodes(scope):
+    """The nodes inside ``scope``, without those of the functions and lambdas nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        n = todo.pop()
+        yield n
+        if not isinstance(n, _SCOPES):
+            todo.extend(ast.iter_child_nodes(n))
+
+
+def _class_named(expr, classes):
+    """The class that an annotation or a callee names (``K``, ``m.K`` or ``"K"``), if it is one of ``classes``."""
+    name = (expr.id if isinstance(expr, ast.Name) else expr.attr if isinstance(expr, ast.Attribute)
+            else expr.value if isinstance(expr, ast.Constant) else None)
+    return name if name in classes else None
+
+
+def _bound_classes(scope, classes, returns, owner):
+    """Name -> class, or None, of each name that ``scope`` binds.
+
+    A name has a class when every binding of it gives one: ``self`` in a method of ``owner``,
+    a parameter annotated with a class, or a call of a class or of a function annotated to
+    return one (``returns``).
+    """
+    kinds = {}
+    if not isinstance(scope, ast.Module):
+        a = scope.args
+        positional = a.posonlyargs + a.args
+        for arg in positional + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]:
+            kinds[arg.arg] = {arg.annotation and _class_named(arg.annotation, classes)}
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in getattr(scope, "decorator_list", ()))
+        if owner and positional and not static:
+            kinds[positional[0].arg] = {owner}
+    made = {}
+    for n in _local_nodes(scope):
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call):
+            name = _called_name(n.value)
+            made.update((id(t), name if name in classes else returns.get(name)) for t in n.targets)
+    for n in _local_nodes(scope):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            kinds.setdefault(n.id, set()).add(made.get(id(n)))
+    return {name: k.pop() if len(k) == 1 else None for name, k in kinds.items()}
+
+
+def _receiver_classes(tree, classes, returns):
+    """(attribute, class of its receiver or None) of each attribute load in ``tree``."""
+    methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+    out = []
+
+    def visit(scope, env):
+        env = {**env, **_bound_classes(scope, classes, returns, methods.get(id(scope)))}
+        for n in _local_nodes(scope):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.append((n.attr, env.get(n.value.id) if isinstance(n.value, ast.Name) else None))
+            elif isinstance(n, _SCOPES):
+                visit(n, env)
+
+    visit(tree, {})
+    return out
+
+
 def unread_fields(modules, readers):
-    """``module.Class.field`` of each annotated class field in ``modules`` that no attribute read in ``readers`` names."""
-    read = _attribute_loads(readers)
+    """``module.Class.field`` of each annotated class field in ``modules`` that no attribute read in
+    ``readers`` names, counting only reads whose receiver is not known to be another class.
+
+    A receiver is known when it is ``self`` in a method, a parameter annotated with a class, or a
+    name bound from a class's constructor or from a call annotated to return a class; calls are
+    matched by name, and a function name annotated with more than one return class tells nothing.
+    """
+    classes = {cls.name for tree in readers for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+    annotated = {}
+    for tree in readers:
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotated.setdefault(fn.name, set()).add(fn.returns and _class_named(fn.returns, classes))
+    returns = {name: kinds.pop() for name, kinds in annotated.items() if len(kinds) == 1}
+    receivers = {}
+    for tree in readers:
+        for attr, cls in _receiver_classes(tree, classes, returns):
+            receivers.setdefault(attr, set()).add(cls)
     return [f"{stem}.{cls.name}.{s.target.id}"
             for stem, tree in modules.items()
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for s in _fields(cls) if s.target.id not in read]
+            for s in _fields(cls) if not receivers.get(s.target.id, set()) & {None, cls.name}]
 
 
 def unnamed_methods(modules, readers):
@@ -300,6 +381,24 @@ def test_checker_flags_an_unset_default_and_an_unread_field():
     callers = [module, ast.parse("P(1, 2)\nK(1).at(0, 1)\nf(0, z=3)\nprint(P(0).a + P(0).b)\n")]
     assert unset_defaults({"m": module}, callers) == ["m.P.c", "m.K.__init__(v)", "m.K.at(z)", "m.f(y)"]
     assert unread_fields({"m": module}, callers) == ["m.P.c"]
+
+
+def test_checker_flags_a_field_read_only_under_a_shared_name():
+    module = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Report:\n    theta: float\n    mass: float\n    width: float\n    size: float\n\n"
+        "@dataclass\nclass Eval:\n    theta: float\n    width: float\n    size: float\n\n"
+        "    def doubled(self):\n        return 2 * self.theta\n\n"
+        "class Field:\n    def at(self, x) -> Eval:\n        return Eval(x, x, x)\n"
+    )
+    callers = [module, ast.parse(
+        "def f(ev: Eval, rep):\n    return ev.width + rep.mass\n\n"
+        "e = Field().at(1.0)\nk = Eval(0.0, 0.0, 0.0)\nprint(e.theta, k.size)\n"
+        "k = load()\nprint(k.size, (lambda e: e.width)(0))\n"
+    )]
+    # both theta loads read an Eval (self in its method, e from a call annotated to return Eval),
+    # as does the annotated ev; rep, the rebound k and the lambda's e are unknown, so they count
+    assert unread_fields({"m": module}, callers) == ["m.Report.theta"]
 
 
 def test_checker_flags_a_setting_with_one_value_in_use():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -95,3 +97,47 @@ def test_two_face_numeric_sanity():
 def test_transport_rejects_float_powers():
     with pytest.raises(ValueError):
         ex.PolyhomExpansion.make([(0.5, 0, 1.0)], N)
+
+
+def _transport_grid():
+    """Seeded exact inputs: p = 0 terms, coincident and distinct corner powers, logs 0 to 3, negative coefficients."""
+    rng = random.Random(19)
+    powers = [F(n, d) for d in (1, 2, 3, 4) for n in range(3 * d + 1)]
+
+    def coeff():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+    radial = [ex.PolyhomExpansion.make([(rng.choice(powers), rng.randint(0, 3), coeff())
+                                        for _ in range(rng.randint(1, 5))], N) for _ in range(300)]
+    corner = []
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            p1 = rng.choice(powers)
+            p2 = p1 if rng.random() < 0.4 else rng.choice(powers)
+            terms.append((p1, rng.randint(0, 3), p2, rng.randint(0, 3), coeff()))
+        corner.append(ex.ProductExpansion.make(terms))
+    return radial, corner
+
+
+#: SHA-256 of the repr of (u.terms, u.remainder_order, predicted) of transport_rho and of
+#: (u.terms, predicted) of transport_two_face on the grid above
+TRANSPORT_SHA256 = "ec6fd700b3b7f91c764e629a091809deb1dfceef63a651ade31994f271921edb"
+
+
+def test_transport_grid_is_pinned():
+    radial, corner = _transport_grid()
+    assert any(p == 0 for f in radial for p, _, _ in f.terms)
+    assert {p1 == p2 for f in corner for p1, _, p2, _, _ in f.terms} == {True, False}
+    assert {k for f in radial for _, k, _ in f.terms} == {0, 1, 2, 3}
+    assert any(c < 0 for f in corner for *_, c in f.terms)
+    seen = []
+    for f in radial:
+        u, predicted = ex.transport_rho(f)
+        seen.append(repr((u.terms, u.remainder_order, predicted)))
+        assert all(isinstance(c, F) for *_, c in u.terms)
+    for f in corner:
+        u, predicted = ex.transport_two_face(f, N)
+        seen.append(repr((u.terms, predicted)))
+        assert all(isinstance(c, F) for *_, c in u.terms)
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == TRANSPORT_SHA256

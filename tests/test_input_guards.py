@@ -1,9 +1,11 @@
 """Each input guard of the library rejects one bad argument with its own message."""
 
+import math
+
 import numpy as np
 import pytest
 
-from nullinf import bondi as bd, compactify as cf, metrics, modelpde as mp
+from nullinf import bondi as bd, compactify as cf, expansions as ex, indexsets as ix, metrics, modelpde as mp
 
 
 def _congruence():
@@ -34,6 +36,9 @@ GUARDS = {
     "frame-region": (lambda: cf.null_frame_coefficients(cf.BoundaryTriple(0.0, 0.1, 0.1, "future"), 0.1),
                      "null frame coefficients are set up near the past corner"),
     "rho-grid": (lambda: cf.scaled_time_fixed_point(1.0, 0.1, [0.0, 0.1]), "rho grid must be positive"),
+    "power-not-finite": (lambda: ix.IndexSet.make([(math.inf, 0)], 4),
+                         "power inf is not exactly representable; pass a Fraction"),
+    "coefficient-not-finite": (lambda: ex.PolyhomExpansion.make([(0, 0, math.nan)], 4), "coefficient nan is not finite"),
 }
 
 
