@@ -56,14 +56,13 @@ class Congruence:
 
     def __init__(self, metric: MetricField, u, theta, phi, s0=15.0, tail_decades=7.0):
         self.metric = metric
-        self.u = float(u)
-        self.theta = np.asarray(theta, dtype=float)
-        self.phi = np.asarray(phi, dtype=float)
-        n = len(self.theta)
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        n = len(theta)
         angles = np.empty((n * 9, 2))
         for o, (a, b) in enumerate(_STENCIL):
-            angles[o::9, 0] = self.theta + a * _DELTA
-            angles[o::9, 1] = self.phi + b * _DELTA
+            angles[o::9, 0] = theta + a * _DELTA
+            angles[o::9, 1] = phi + b * _DELTA
         self.traj = integrate_radial_null_geodesic(metric, u, angles, s0=s0, tail_decades=tail_decades)
         self.n = n
 

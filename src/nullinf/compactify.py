@@ -126,6 +126,11 @@ def inverse_tortoise(rstar, m):
     return float(r[0]) if np.isscalar(rstar) or np.ndim(rstar) == 0 else r.reshape(np.shape(rstar))
 
 
+def double_null_radius(q, s, m):
+    """Radius r(q, s) at the double-null coordinates q = t + r_*, s = t - r_*."""
+    return inverse_tortoise(0.5 * (np.asarray(q, dtype=float) - np.asarray(s, dtype=float)), m)
+
+
 # -- chart points and transitions -------------------------------------------
 
 

@@ -4,7 +4,9 @@ A :class:`PolyhomExpansion` is a finite list of terms  c * rho^p * log(rho)^k
 with rational powers, plus a remainder order.  Transport solves the regular
 singular model ODEs term by term in closed form; coefficients stay exact
 (``Fraction``) whenever the input is exact.  A small separated bivariate
-variant supports the two-face transport used near a corner.
+variant supports the two-face transport used near a corner.  The index set
+each transport predicts is the ``indexsets`` rule applied to the input's
+hulls, empty hulls included.
 
 On log monomials both transports are a number plus a nilpotent derivative in
 the logs: off resonance one finite Neumann series solves them, and at the corner
@@ -20,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .indexsets import IndexSet, _frac
+from .indexsets import IndexSet, _frac, transport_index_rho, transport_index_two_face
 
 
 def _coeff(c):
@@ -33,6 +35,15 @@ def _coeff(c):
     return c
 
 
+def _summed(keyed) -> tuple:
+    """Sorted (*key, coefficient) of the summed coefficients of equal keys, zero sums dropped;
+    each partial sum passes :func:`_coeff`, so a float sum past the float range raises."""
+    acc = {}
+    for key, c in keyed:
+        acc[key] = _coeff(acc.get(key, 0) + _coeff(c))
+    return tuple((*key, c) for key, c in sorted(acc.items()) if c != 0)
+
+
 @dataclass(frozen=True)
 class PolyhomExpansion:
     """Terms (power, log order, coefficient), sorted, plus a remainder order."""
@@ -43,17 +54,8 @@ class PolyhomExpansion:
     @staticmethod
     def make(terms: Iterable[tuple[object, int, object]], remainder_order) -> "PolyhomExpansion":
         rem = _frac(remainder_order)
-        acc: dict[tuple[Fraction, int], object] = {}
-        for p, k, c in terms:
-            p = _frac(p)
-            if p >= rem:
-                continue
-            key = (p, int(k))
-            acc[key] = acc.get(key, 0) + _coeff(c)
-        clean = tuple(
-            (p, k, c) for (p, k), c in sorted(acc.items()) if c != 0
-        )
-        return PolyhomExpansion(clean, rem)
+        powered = ((_frac(p), k, c) for p, k, c in terms)
+        return PolyhomExpansion(_summed(((p, int(k)), c) for p, k, c in powered if p < rem), rem)
 
     def evaluate(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -94,9 +96,8 @@ def transport_rho(f: PolyhomExpansion) -> tuple[PolyhomExpansion, IndexSet]:
     """Solve  rho d/drho u = f  exactly; return u and the predicted index set.
 
     Power-p terms with p != 0 keep their log order; p = 0 terms raise it by
-    one.  The predicted set is the input hull with one extra log order at
-    every populated power when the constant slot is populated, otherwise the
-    plain union with the constant slot.
+    one.  The predicted set is :func:`indexsets.transport_index_rho` of the
+    input hull; an empty hull predicts the constant slot alone.
     """
     out = []
     for p, k, c in f.terms:
@@ -108,22 +109,7 @@ def transport_rho(f: PolyhomExpansion) -> tuple[PolyhomExpansion, IndexSet]:
             # rho d/drho acts on rho^p L^j as p + d/dL
             part = _neumann(p, {k: c}, lambda t: {j - 1: j * a for j, a in t.items() if j > 0})
             out += [(p, j, a) for j, a in part.items()]
-    u = PolyhomExpansion.make(out, f.remainder_order)
-
-    hull = f.index_hull()
-    predicted = _local_transport_set(hull)
-    return u, predicted
-
-
-def _local_transport_set(e: IndexSet) -> IndexSet:
-    """Generator-level implementation of the transport index rule."""
-    if e.is_empty:
-        return IndexSet.zero(e.truncation)
-    raise_logs = e.min_power == 0
-    pairs = [(Fraction(0), 0)]
-    for p, k in e.generators:
-        pairs.append((p, k + 1 if raise_logs else k))
-    return IndexSet.make(pairs, e.truncation)
+    return PolyhomExpansion.make(out, f.remainder_order), transport_index_rho(f.index_hull())
 
 
 # -- separated bivariate expansions (corner transport) --------------------
@@ -137,11 +123,8 @@ class ProductExpansion:
 
     @staticmethod
     def make(terms) -> "ProductExpansion":
-        acc: dict[tuple[Fraction, int, Fraction, int], object] = {}
-        for p1, k1, p2, k2, c in terms:
-            key = (_frac(p1), int(k1), _frac(p2), int(k2))
-            acc[key] = acc.get(key, 0) + _coeff(c)
-        return ProductExpansion(tuple((*k, c) for k, c in sorted(acc.items()) if c != 0))
+        return ProductExpansion(_summed(((_frac(p1), int(k1), _frac(p2), int(k2)), c)
+                                        for p1, k1, p2, k2, c in terms))
 
     def face_hull(self, face: int, truncation) -> IndexSet:
         if face == 1:
@@ -199,8 +182,10 @@ def _sum_difference(poly):
 def transport_two_face(f: ProductExpansion, truncation) -> tuple[ProductExpansion, IndexSet]:
     """Solve  (rho1 d/drho1 - rho2 d/drho2) u = f  exactly, term by term.
 
-    Returns u and the predicted index set at the first face: one extra log
-    order wherever the two face hulls overlap.
+    Returns u and the predicted index set at the first face,
+    :func:`indexsets.transport_index_two_face` of the two face hulls: one
+    extra log order wherever they overlap, and the second hull alone when
+    the first is empty.
     """
     out = []
     for p1, k1, p2, k2, c in f.terms:
@@ -212,30 +197,4 @@ def transport_two_face(f: ProductExpansion, truncation) -> tuple[ProductExpansio
             ab = _sum_difference({(k1, k2): c * Fraction(1, 2) ** (k1 + k2 + 1)})
             part = _sum_difference({(a, b + 1): v / (b + 1) for (a, b), v in ab.items()})
         out += [(p1, a, p2, b, v) for (a, b), v in part.items()]
-    u = ProductExpansion.make(out)
-    trunc = _frac(truncation)
-    e1 = f.face_hull(1, trunc)
-    e2 = f.face_hull(2, trunc)
-    predicted = _local_two_face_set(e1, e2)
-    return u, predicted
-
-
-def _local_two_face_set(e1: IndexSet, e2: IndexSet) -> IndexSet:
-    """Generator-level implementation of the corner transport index rule."""
-    trunc = min(e1.truncation, e2.truncation)
-    bps = sorted({p for p, _ in e1.generators} | {p for p, _ in e2.generators})
-    pairs = []
-    for p in bps:
-        if p >= trunc:
-            continue
-        k1 = e1.log_bound(p) if p < e1.truncation else None
-        k2 = e2.log_bound(p) if p < e2.truncation else None
-        if k1 is None and k2 is None:
-            continue
-        if k1 is None:
-            pairs.append((p, k2))
-        elif k2 is None:
-            pairs.append((p, k1))
-        else:
-            pairs.append((p, k1 + k2 + 1))
-    return IndexSet.make(pairs, trunc)
+    return ProductExpansion.make(out), transport_index_two_face(f.face_hull(1, truncation), f.face_hull(2, truncation))

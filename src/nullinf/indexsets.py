@@ -219,9 +219,11 @@ def drop_zero_log(a: IndexSet) -> IndexSet:
 
 
 def transport_index_rho(e: IndexSet) -> IndexSet:
-    """Index set of the solution u of  rho d/drho u = f,  f of index set e."""
-    if e.is_empty:
-        raise ValueError("transport_index_rho needs a nonempty input")
+    """Index set of the solution u of  rho d/drho u = f,  f of index set e.
+
+    One extra log order everywhere when e populates the constant slot, else
+    the union with it; an empty e gives the constant slot alone.
+    """
     zero = IndexSet.zero(e.truncation)
     if e.min_power == 0:
         return extended_union(e, zero)
@@ -229,9 +231,8 @@ def transport_index_rho(e: IndexSet) -> IndexSet:
 
 
 def transport_index_two_face(e1: IndexSet, e2: IndexSet) -> IndexSet:
-    """Index set at the first face of the solution of the two-face transport."""
-    if e1.is_empty or e2.is_empty:
-        raise ValueError("transport_index_two_face needs nonempty inputs")
+    """Index set at the first face of the solution of the two-face transport:
+    the extended union, so an empty hull leaves the other one."""
     return extended_union(e1, e2)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import sympy as sp
 
-from .compactify import _mass, inverse_tortoise
+from .compactify import _mass, double_null_radius
 
 Q, S, TH, PH, RR = sp.symbols("q s theta phi r", real=True, positive=False)
 RHO0, RHOI = sp.symbols("rho0 rhoI", positive=True)
@@ -306,8 +306,7 @@ class MetricField:
         self._low.compile()
 
     def radius(self, q, s):
-        rstar = 0.5 * (np.asarray(q, dtype=float) - np.asarray(s, dtype=float))
-        return inverse_tortoise(rstar, self.m)
+        return double_null_radius(q, s, self.m)
 
     def at(self, q, s, theta, phi) -> MetricEval:
         q, s, theta, phi = np.broadcast_arrays(

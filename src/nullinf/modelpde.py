@@ -363,7 +363,7 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     # imported here, not at the top: the characteristic solvers load no sympy
     import sympy as sp
 
-    from .compactify import _mass, inverse_tortoise
+    from .compactify import _mass, double_null_radius
     from .metrics import PH, Q, RR, S, TH, _diff_ops, compile_fields, sphere_raise
 
     m = _mass(m)
@@ -395,8 +395,7 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
         fn = compile_fields((RR, Q, S, TH, PH), [M[i][j] for i in range(7) for j in range(7)])
 
         def evaluate(q, s, theta, phi):
-            r = inverse_tortoise(0.5 * (q - s), m)
-            vals = fn(r, q, s, theta, phi)
+            vals = fn(double_null_radius(q, s, m), q, s, theta, phi)
             return vals.reshape(vals.shape[:-1] + (7, 7))
 
         return evaluate

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .compactify import _mass, inverse_tortoise
+from .compactify import _mass, double_null_radius
 from .metrics import (PH, Q, RR, S, TH, MetricEval, MetricField, PerturbationField, _diff_ops,
                       compile_fields, sphere_dot)
 
@@ -97,9 +97,9 @@ class OneFormField:
     """Covariant 1-form with closed-form components in (r, q, s, theta, phi)."""
 
     def __init__(self, exprs, m):
-        self.exprs = tuple(sp.sympify(e) for e in exprs)
+        exprs = [sp.sympify(e) for e in exprs]
         D = _diff_ops(_mass(m))
-        flat = list(self.exprs) + [D[k](e) for k in range(4) for e in self.exprs]
+        flat = exprs + [D[k](e) for k in range(4) for e in exprs]
         self._fn = compile_fields((RR, Q, S, TH, PH), flat)
 
     def eval(self, ev: MetricEval):
@@ -356,7 +356,6 @@ def gauged_residual_11(h: PerturbationField, m, q, s, theta, phi):
     q, s, theta, phi = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))
     )
-    r = inverse_tortoise(0.5 * (q - s), m)
-    t = fn(r, q, s, theta, phi)
+    t = fn(double_null_radius(q, s, m), q, s, theta, phi)
     t1, t2 = t[..., 0], t[..., 1]
     return t1 + t2, (t1, t2)

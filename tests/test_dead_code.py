@@ -5,10 +5,12 @@ handed to a closure counts as read.  Names starting with ``_`` are exempt.
 
 No unused settings either: every default of a parameter or of a class field
 is passed by some call in the package, the tests or the benchmark, no
-default is overridden with the same constant expression by every call, and
-every annotated class field is read somewhere, on a receiver not known to be
-another class.  Every name bound at the top level of a module is loaded or
-imported somewhere, and every method is named by an attribute load.  Calls
+default is overridden with the same constant expression by every call, every
+annotated class field is read somewhere, on a receiver not known to be
+another class, and every other attribute that a method assigns on ``self`` is
+read on a receiver known to be its class, outside the scope that assigns it.
+Every name bound at the top level of a module is loaded or imported
+somewhere, and every method is named by an attribute load.  Calls
 are matched by the name of the function, method or class only, so a call of
 any function of the same name counts.
 """
@@ -100,6 +102,22 @@ def _fields(cls):
     return [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
 
 
+def _static(fn):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in getattr(fn, "decorator_list", ()))
+
+
+def _self_attributes(cls):
+    """The attributes that the methods of a class body assign on their first parameter, in order."""
+    out = {}
+    for fn in (f for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _static(f)):
+        positional = fn.args.posonlyargs + fn.args.args
+        for n in ast.walk(fn):
+            if (positional and isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == positional[0].arg):
+                out[n.attr] = None
+    return list(out)
+
+
 def _parameters(fn, called, qualname, skip):
     a = fn.args
     positional = (a.posonlyargs + a.args)[skip:]
@@ -123,9 +141,8 @@ def _all_parameters(tree):
             yield cls.name, f"{cls.name}.{s.target.id}", i, s.target.id, s.value is not None
         for fn in (f for f in cls.body if isinstance(f, functions)):
             methods.add(fn)
-            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
             called = cls.name if fn.name == "__init__" else fn.name
-            yield from _parameters(fn, called, f"{cls.name}.{fn.name}", 0 if static else 1)
+            yield from _parameters(fn, called, f"{cls.name}.{fn.name}", 0 if _static(fn) else 1)
     for fn in ast.walk(tree):
         if isinstance(fn, functions) and fn not in methods:
             yield from _parameters(fn, fn.name, fn.name, 0)
@@ -195,8 +212,7 @@ def _bound_classes(scope, classes, returns, owner):
         positional = a.posonlyargs + a.args
         for arg in positional + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]:
             kinds[arg.arg] = {arg.annotation and _class_named(arg.annotation, classes)}
-        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in getattr(scope, "decorator_list", ()))
-        if owner and positional and not static:
+        if owner and positional and not _static(scope):
             kinds[positional[0].arg] = {owner}
     made = {}
     for n in _local_nodes(scope):
@@ -210,16 +226,22 @@ def _bound_classes(scope, classes, returns, owner):
 
 
 def _receiver_classes(tree, classes, returns):
-    """(attribute, class of its receiver or None) of each attribute load in ``tree``."""
+    """(attribute, class of its receiver or None) of each attribute load in ``tree``.
+
+    A load of ``x.a`` in a scope that also assigns ``x.a`` reads back its own write, and is left out.
+    """
     methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
     out = []
 
     def visit(scope, env):
         env = {**env, **_bound_classes(scope, classes, returns, methods.get(id(scope)))}
+        attrs = [(n, n.value.id if isinstance(n.value, ast.Name) else None)
+                 for n in _local_nodes(scope) if isinstance(n, ast.Attribute)]
+        written = {(name, n.attr) for n, name in attrs if name and isinstance(n.ctx, ast.Store)}
+        out.extend((n.attr, env.get(name)) for n, name in attrs
+                   if isinstance(n.ctx, ast.Load) and (name, n.attr) not in written)
         for n in _local_nodes(scope):
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                out.append((n.attr, env.get(n.value.id) if isinstance(n.value, ast.Name) else None))
-            elif isinstance(n, _SCOPES):
+            if isinstance(n, _SCOPES):
                 visit(n, env)
 
     visit(tree, {})
@@ -228,7 +250,9 @@ def _receiver_classes(tree, classes, returns):
 
 def unread_fields(modules, readers):
     """``module.Class.field`` of each annotated class field in ``modules`` that no attribute read in
-    ``readers`` names, counting only reads whose receiver is not known to be another class.
+    ``readers`` names, counting only reads whose receiver is not known to be another class, then
+    of each other attribute that a method assigns on ``self``, counting only reads whose receiver
+    is known to be its class: such an attribute is declared nowhere that an unknown reader could see.
 
     A receiver is known when it is ``self`` in a method, a parameter annotated with a class, or a
     name bound from a class's constructor or from a call annotated to return a class; calls are
@@ -245,10 +269,14 @@ def unread_fields(modules, readers):
     for tree in readers:
         for attr, cls in _receiver_classes(tree, classes, returns):
             receivers.setdefault(attr, set()).add(cls)
-    return [f"{stem}.{cls.name}.{s.target.id}"
-            for stem, tree in modules.items()
-            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for s in _fields(cls) if not receivers.get(s.target.id, set()) & {None, cls.name}]
+    out = []
+    for stem, tree in modules.items():
+        for cls in (c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+            fields = [s.target.id for s in _fields(cls)]
+            out += [f"{stem}.{cls.name}.{name}" for name in fields if not receivers.get(name, set()) & {None, cls.name}]
+            out += [f"{stem}.{cls.name}.{name}" for name in _self_attributes(cls)
+                    if name not in fields and cls.name not in receivers.get(name, ())]
+    return out
 
 
 def unnamed_methods(modules, readers):
@@ -380,7 +408,8 @@ def test_checker_flags_an_unset_default_and_an_unread_field():
     )
     callers = [module, ast.parse("P(1, 2)\nK(1).at(0, 1)\nf(0, z=3)\nprint(P(0).a + P(0).b)\n")]
     assert unset_defaults({"m": module}, callers) == ["m.P.c", "m.K.__init__(v)", "m.K.at(z)", "m.f(y)"]
-    assert unread_fields({"m": module}, callers) == ["m.P.c"]
+    # K.u is assigned on self and never read
+    assert unread_fields({"m": module}, callers) == ["m.P.c", "m.K.u"]
 
 
 def test_checker_flags_a_field_read_only_under_a_shared_name():
@@ -399,6 +428,24 @@ def test_checker_flags_a_field_read_only_under_a_shared_name():
     # both theta loads read an Eval (self in its method, e from a call annotated to return Eval),
     # as does the annotated ev; rep, the rebound k and the lambda's e are unknown, so they count
     assert unread_fields({"m": module}, callers) == ["m.Report.theta"]
+
+
+def test_checker_flags_an_attribute_assigned_on_self_and_read_only_where_it_is_set():
+    module = ast.parse(
+        "class Cone:\n"
+        "    def __init__(self, u, theta, metric, n):\n"
+        "        self.u = float(u)\n        self.theta = theta\n        self.metric = metric\n"
+        "        self.n = len(self.theta)\n        self.size = n\n\n"
+        "    def width(self):\n        return self.n\n\n"
+        "class Row:\n    u: float\n"
+    )
+    callers = [module, ast.parse(
+        "c = Cone(0.0, [1.0], None, 2)\nprint(c.metric, rows[0].u)\n\n"
+        "def f(row):\n    return row.size\n"
+    )]
+    # theta is read only in the method that sets it; u and size only on receivers not known to be
+    # a Cone (the unknown ones still read Row.u); metric is read on a Cone and n in another method
+    assert unread_fields({"m": module}, callers) == ["m.Cone.u", "m.Cone.theta", "m.Cone.size"]
 
 
 def test_checker_flags_a_setting_with_one_value_in_use():

@@ -27,10 +27,21 @@ def test_transport_constant_gives_log():
     assert predicted == ix.IndexSet.make([(0, 1)], N)
 
 
-def test_transport_set_matches_cross_module_rule():
+def test_transport_set_holds_the_solution():
     f = ex.PolyhomExpansion.make([(1, 0, F(3))], N)
-    _, predicted = ex.transport_rho(f)
-    assert predicted == ix.transport_index_rho(f.index_hull())
+    u, predicted = ex.transport_rho(f)
+    assert predicted == ix.IndexSet.make([(0, 0)], N)
+    assert predicted.contains(u.index_hull())
+
+
+def test_transport_of_empty_hulls():
+    # an empty input hull predicts the constant slot; an empty first face leaves the second face's hull
+    _, predicted = ex.transport_rho(ex.PolyhomExpansion.make([], N))
+    assert str(predicted) == "IndexSet[(0,0); p<4]"
+    _, predicted = ex.transport_two_face(ex.ProductExpansion.make([(5, 0, 1, 1, 1)]), N)
+    assert str(predicted) == "IndexSet[(1,1); p<4]"
+    _, predicted = ex.transport_two_face(ex.ProductExpansion.make([(5, 0, 6, 1, 1)]), N)
+    assert str(predicted) == "IndexSet[; p<4]"
 
 
 term_st = st.tuples(
@@ -49,7 +60,7 @@ def test_transport_differentiates_back_exactly(terms):
     u, predicted = ex.transport_rho(f)
     assert all(isinstance(c, F) for _, _, c in u.terms)
     assert ex.differentiate_rho(u) == f
-    assert predicted == ix.transport_index_rho(f.index_hull())
+    assert predicted.contains(u.index_hull())
 
 
 def test_two_face_constant():
@@ -78,7 +89,7 @@ def test_two_face_differentiates_back_exactly(terms):
         return
     u, predicted = ex.transport_two_face(f, N)
     assert ex.differentiate_two_face(u) == f
-    assert predicted == ix.transport_index_two_face(f.face_hull(1, N), f.face_hull(2, N))
+    assert predicted.contains(u.face_hull(1, N))
 
 
 def test_two_face_numeric_sanity():
@@ -135,9 +146,9 @@ def test_transport_grid_is_pinned():
     for f in radial:
         u, predicted = ex.transport_rho(f)
         seen.append(repr((u.terms, u.remainder_order, predicted)))
-        assert all(isinstance(c, F) for *_, c in u.terms)
+        assert all(isinstance(c, F) for *_, c in u.terms) and predicted.contains(u.index_hull())
     for f in corner:
         u, predicted = ex.transport_two_face(f, N)
         seen.append(repr((u.terms, predicted)))
-        assert all(isinstance(c, F) for *_, c in u.terms)
+        assert all(isinstance(c, F) for *_, c in u.terms) and predicted.contains(u.face_hull(1, N))
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == TRANSPORT_SHA256

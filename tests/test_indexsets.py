@@ -162,11 +162,14 @@ def test_transport_index_rho():
     assert bounds(e) == (0, 0, 0, 0)
     z = ix.IndexSet.zero(N)
     assert bounds(ix.transport_index_rho(z)) == (1, 1, 1, 1)
+    assert ix.transport_index_rho(ix.IndexSet.empty(N)) == z
 
 
 def test_transport_index_two_face():
     z = ix.IndexSet.zero(N)
     assert bounds(ix.transport_index_two_face(z, z)) == (1, 1, 1, 1)
+    e2 = ix.IndexSet.make([(F(1, 2), 0), (2, 3)], N)
+    assert ix.transport_index_two_face(ix.IndexSet.empty(N), e2) == e2
 
 
 # -- the recursion --------------------------------------------------------

@@ -39,6 +39,10 @@ GUARDS = {
     "power-not-finite": (lambda: ix.IndexSet.make([(math.inf, 0)], 4),
                          "power inf is not exactly representable; pass a Fraction"),
     "coefficient-not-finite": (lambda: ex.PolyhomExpansion.make([(0, 0, math.nan)], 4), "coefficient nan is not finite"),
+    "coefficient-sum-not-finite": (lambda: ex.PolyhomExpansion.make([(0, 0, 1e308), (0, 0, 1e308)], 4),
+                                   "coefficient inf is not finite"),
+    "product-coefficient-sum-not-finite": (lambda: ex.ProductExpansion.make([(0, 0, 1, 0, 1e308), (0, 0, 1, 0, 1e308)]),
+                                           "coefficient inf is not finite"),
 }
 
 

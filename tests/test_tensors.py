@@ -519,3 +519,10 @@ def test_lambdify_called_only_inside_compile_fields():
     assert calls == 1
     assert "lambdify(" in inspect.getsource(metrics._Evaluator.compile)
     assert "_compiled(" in inspect.getsource(metrics.compile_fields)
+
+
+def test_inverse_tortoise_called_only_inside_compactify():
+    # r(q, s) has one home, compactify.double_null_radius
+    package = Path(nullinf.__file__).parent
+    callers = {p.name for p in package.glob("*.py") if "inverse_tortoise(" in p.read_text()}
+    assert callers == {"compactify.py"}
