@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import sympy as sp
 
+from .compactify import _mass
 from .geodesics import integrate_radial_null_geodesic
 from .metrics import (PH, RHO0, RHOI, TH, MetricField, PerturbationField, Weights, compile_fields,
                       round_metric, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
@@ -385,6 +386,7 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
     angular average gives the Bondi mass, whose drop balances the flux
     integral identically on the shared grids.
     """
+    m = _mass(m)
     u = np.asarray(u_grid, dtype=float)
     if not (u[0] <= news.support[0] and news.support[1] <= u[-1]):
         raise ValueError("news support must lie inside the retarded-time grid")
@@ -413,6 +415,7 @@ def bondi_mass_from_data(log_coeff, h_sphere, m):
     spherical part; the double-divergence term integrates to zero.  The
     aspect is sampled on the 24 x 48 nodes of ``sphere_quadrature()``.
     """
+    m = _mass(m)
     th, ph, w = sphere_quadrature()
     transport = -0.5 * compile_fields((TH, PH), [sp.sympify(log_coeff)])(th, ph)[:, 0]
     divdiv = np.zeros_like(th)

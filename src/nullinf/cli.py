@@ -30,8 +30,6 @@ class ConfigError(Exception):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)

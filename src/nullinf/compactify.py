@@ -23,9 +23,10 @@ EPSILON0 = 0.1
 
 
 def _mass(m) -> float:
+    """The one check of a mass argument: the library works on finite m >= 0."""
     m = float(m)
-    if not math.isfinite(m):
-        raise ValueError("mass must be finite")
+    if not (math.isfinite(m) and m >= 0.0):
+        raise ValueError(f"mass must be finite and nonnegative, got {m}")
     return m
 
 
@@ -44,10 +45,10 @@ def cutoff_lower(x):
 
 
 def tortoise(r, m):
-    """r + 2m log(r - 2m); requires r > max(2m, 0)."""
+    """r + 2m log(r - 2m); requires r > 2m."""
     m = _mass(m)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 2.0 * m) or np.any(r <= 0.0):
+    if np.any(r <= 2.0 * m):
         raise ValueError("tortoise coordinate needs r > 2m and r > 0")
     out = r + 2.0 * m * np.log(r - 2.0 * m)
     return float(out) if out.ndim == 0 else out
@@ -56,33 +57,27 @@ def tortoise(r, m):
 def inverse_tortoise(rstar, m):
     """Radius with the given tortoise coordinate, by bracketed Newton.
 
-    Converges on the monotone branch r > max(2m, 0); raises if after 100
+    Converges on the monotone branch r > 2m; raises if after 100
     steps |tortoise(r) - rstar| is not below 1e-13 * (1 + |rstar|) and the
     root does not lie within one ulp of r (close to the horizon).  For
     m > 0 the smallest reachable rstar is the image of the smallest double
     above 2m; a smaller rstar raises a ValueError that names that bound.
+    For m = 0 the radius is rstar itself, which must be positive.
     """
     tol = 1e-13
     maxiter = 100
     m = _mass(m)
     rstar_arr = np.atleast_1d(np.asarray(rstar, dtype=float))
-    lo_edge = max(2.0 * m, 0.0)
+    lo_edge = 2.0 * m
 
-    lo = np.full_like(rstar_arr, lo_edge + max(1e-12, 1e-12 * abs(lo_edge)))
+    lo = np.full_like(rstar_arr, lo_edge + max(1e-12, 1e-12 * lo_edge))
+    # hi - 2m >= 1 makes 2m log(hi - 2m) >= 0, so tortoise(hi) >= hi >= rstar: hi is an upper bracket
     hi = np.maximum(rstar_arr + 1.0, lo + 1.0)
-    # grow the upper bracket until it encloses the root
-    for _ in range(200):
-        bad = tortoise(hi, m) < rstar_arr
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2.0 * (hi - lo_edge) + lo_edge, hi)
-    else:
-        raise ValueError("could not bracket the tortoise inversion")
     if np.any(tortoise(lo, m) > rstar_arr):
         # shrink the lower edge toward the horizon where r_* -> -inf (m > 0),
         # or toward r = 0 where r_* = r (m = 0)
-        if m < 0.0 or (m == 0.0 and np.any(rstar_arr <= 0.0)):
-            raise ValueError("tortoise coordinate out of range for m <= 0")
+        if m == 0.0 and np.any(rstar_arr <= 0.0):
+            raise ValueError("tortoise coordinate out of range for m = 0")
         floor = tortoise(np.nextafter(lo_edge, np.inf), m)
         if np.any(rstar_arr < floor):
             raise ValueError(

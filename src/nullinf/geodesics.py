@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compactify import _mass
 from .metrics import MetricField, schwarzschild_exact
 
 
@@ -104,6 +105,7 @@ class GeodesicTrajectory:
 
         The fit window runs from 10 to 1000 times the first affine parameter.
         """
+        m = _mass(m)
         s = self.s
         mask = (s >= 10.0 * s[0]) & (s <= 1000.0 * s[0])
         ls = np.log(s[mask])
@@ -239,7 +241,6 @@ def retarded_time(metric: MetricField, point, s0=20.0):
     max_iter = 30
     q0, s_coord, theta, phi = (float(c) for c in point)
     x1bar = s_coord
-    traj = None
     for _ in range(max_iter):
         traj = integrate_radial_null_geodesic(metric, x1bar, np.array([[theta, phi]]), s0=s0)
         xq = traj.x[0, :, 0]

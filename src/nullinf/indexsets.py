@@ -24,11 +24,7 @@ MAX_DENOMINATOR = 64
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        f = x
-    elif isinstance(x, int):
-        f = Fraction(x)
-    elif isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         f = Fraction(x)
     elif isinstance(x, float):
         if not x.is_integer():  # also false for inf and nan
@@ -50,9 +46,7 @@ def _normalize(pairs: Iterable[tuple[Fraction, int]], trunc: Fraction):
         if p < 0:
             raise ValueError(f"negative power {p} in index set")
         if kept and kept[-1][1] >= k:
-            continue  # dominated by an earlier generator
-        if kept and kept[-1][0] == p:
-            continue  # same power, smaller log order
+            continue  # dominated by an earlier generator, or by the same power with a higher log order
         kept.append((p, int(k)))
     return tuple(kept)
 

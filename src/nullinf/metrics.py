@@ -390,7 +390,7 @@ def schwarzschild_exact(r, theta, m) -> SchwarzschildExact:
     m = _mass(m)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.broadcast_to(np.atleast_1d(np.asarray(theta, dtype=float)), r.shape).copy()
-    if np.any(r <= 2 * m) or np.any(r <= 0):
+    if np.any(r <= 2 * m):
         raise ValueError("need r > 2m and r > 0")
     sin, cos = np.sin(theta), np.cos(theta)
     ghat = round_metric(theta)

@@ -13,6 +13,13 @@ mode solve calls it once, with broadcastable arrays of shapes (1, n_ext)
 and (nJ, 1) covering the whole extended grid.  The Newton iteration's
 forcings add the frozen quadratic coupling, a table on the core nodes
 zero-padded to the extended grid.
+
+The weak-null log coefficient follows from the factored form.  At the fixed
+point u1 is forced by F = a^2 / (rho0 rhoI), a = d1 u1c = rho0 (w1c + rhoI
+d/drhoI u1c / 2).  With gamma = ell = 0, rhoI d/drhoI w1 = rhoI F / 2 -> rho0
+W^2 / 2 as rhoI -> 0 (W: u1c's w at the radiation face); then (rho0 d/drho0 -
+rhoI d/drhoI) u1 = w1 gives u1 ~ c_log log rhoI, c_log(rho0) = (1/2)
+int_0^rho0 W(s)^2 ds >= 0.  Zero data leave W = 0 below the sources' support.
 """
 
 from __future__ import annotations

@@ -406,6 +406,54 @@ def test_list_checks_text_is_pinned():
     assert cli.list_checks() == LIST_CHECKS
 
 
+def test_main_list_checks_exits_0(capsys):
+    assert cli.main(["all", "--list-checks"]) == 0
+    assert capsys.readouterr().out == LIST_CHECKS + "\n"
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-m", "nullinf.cli", "index-sets", "--list-checks"],
+                           capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (child.returncode, child.stdout, child.stderr) == (0, LIST_CHECKS + "\n", "")
+
+
+def test_comment_and_blank_config_lines_are_skipped(tmp_path):
+    cfg = write_config(tmp_path, "# index sets\n\n   \ntruncation = 3  # the default is 4\n")
+    assert cli.parse_config(cfg) == {"truncation": "3"}
+    assert cli.run("index-sets", cfg, tmp_path / "out") == 0
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "truncation = 3\ntruncation 4\n")
+    assert cli.run("index-sets", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: expected key=value, got 'truncation 4'\n"
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert cli.run("index-sets", None, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1
+
+
+def test_write_error_in_a_runner_exits_2(tmp_path, capsys, monkeypatch):
+    def full_disk(header, rows, path):
+        raise OSError(f"no space left to write {path.name}")
+
+    monkeypatch.setattr(cli, "emit_csv", full_disk)
+    assert cli.run("model-pde", None, tmp_path / "out") == 2
+    assert capsys.readouterr().err == "io error: no space left to write modelpde_solution.csv\n"
+
+
+def test_model_pde_without_damping_checks_the_leading_term(tmp_path):
+    out = tmp_path / "out"
+    assert cli.run("model-pde", write_config(tmp_path, "gamma = 0\n"), out) == 0
+    rows = (out / "report_model-pde.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["leading-term-present"]
+
+
 def test_main_entry(tmp_path):
     cfg = write_config(tmp_path, "truncation = 3\n")
     assert cli.main(["index-sets", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -106,6 +107,24 @@ def test_inverse_tortoise_near_horizon_lands_within_one_ulp():
     for x in (-49.1, np.nextafter(floor, -np.inf), [-20.0, -50.0]):
         with pytest.raises(ValueError, match=r"at m = 0.7 the smallest reachable r\* is -49.06.*got r\* = -(49|50)"):
             cp.inverse_tortoise(x, m)
+
+
+# SHA-256 of inverse_tortoise on the grid below, recorded before the bracket search
+# that only a negative mass could enter was deleted
+INVERSE_TORTOISE_SHA256 = "8bfae773f1bbbf25009ae2906ce539636ba88de09e5dea2caff86a2f9b450272"
+
+
+def test_inverse_tortoise_is_pinned_from_each_horizon_floor_to_1e300():
+    digest = hashlib.sha256()
+    for m in (0.0, 0.1, 0.7, 1e6):
+        floor = cp.tortoise(np.nextafter(2.0 * m, np.inf), m)
+        rstar = np.concatenate([[floor], np.linspace(floor, floor + 100.0, 201)[1:],
+                                floor + np.geomspace(1e-3, 1e300, 301)])
+        r = cp.inverse_tortoise(rstar, m)
+        digest.update(np.ascontiguousarray(r).tobytes())
+        for i in (0, 100, 400):
+            assert cp.inverse_tortoise(rstar[i], m) == r[i]
+    assert digest.hexdigest() == INVERSE_TORTOISE_SHA256
 
 
 def test_chart_transition_values():

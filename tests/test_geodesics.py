@@ -209,6 +209,21 @@ def test_tail_bound_reported_small(schwarzschild_traj):
     assert traj.tail_bound < 1e-8
 
 
+def test_short_tail_pairs_its_panels_and_warns():
+    # 32 nodes per decade over 1.1 decades round to 35 panels; one more keeps Simpson's
+    # panels paired, and a tail that short leaves a truncation bound far above 1e-8
+    with pytest.warns(UserWarning, match=r"tail truncation bound .* exceeds 1e-08"):
+        traj = integrate_radial_null_geodesic(MetricField(0.1), -30.0, np.array([1.1, 0.7]), tail_decades=1.1)
+    assert len(traj.s) == 37
+    assert traj.tail_bound > 1e-8
+
+
+def test_fitted_rates_of_a_flat_radial_geodesic_are_infinite():
+    # at m = 0 the velocity components the rates read vanish identically
+    traj = integrate_radial_null_geodesic(MetricField(0.0), -30.0, np.array([1.1, 0.7]))
+    assert traj.fitted_rates(0.0) == {"alpha0": math.inf, "alpha1": math.inf, "alpha_sph": math.inf}
+
+
 def _cumulative_simpson_loop(H, h):
     """Node-by-node reference: the same additions in the same order as the batched rule."""
     n = H.shape[-1]

@@ -64,6 +64,22 @@ def test_denominator_limit():
         ix.IndexSet.make([(F(1, 128), 0)], N)
 
 
+def test_integral_float_and_text_powers_are_exact():
+    assert ix.IndexSet.make([(1.0, 0), ("3/2", 1)], N) == ix.IndexSet.make([(1, 0), (F(3, 2), 1)], N)
+
+
+def test_contains_fails_where_a_log_bound_is_missing_or_lower():
+    e = ix.IndexSet.make([(1, 0)], N)
+    assert ix.elog(N).contains(e)
+    assert not e.contains(ix.elog(N))  # no bound at power 0
+    assert not ix.elog(N).contains(ix.IndexSet.make([(0, 1)], N))
+
+
+def test_drop_zero_log_leaves_a_set_without_the_constant_slot():
+    for e in (ix.IndexSet.make([(1, 2)], N), ix.IndexSet.empty(N)):
+        assert ix.drop_zero_log(e) is e
+
+
 # -- union / extended union ----------------------------------------------
 
 
@@ -351,3 +367,4 @@ def test_serialize_round_trip():
     text = ix.serialize(e)
     assert text == "1/2 0\n2 3\n"
     assert ix.parse(text, N) == e
+    assert ix.parse("# generators\n\n1/2 0  # the first\n2 3\n", N) == e

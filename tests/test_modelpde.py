@@ -181,6 +181,33 @@ def test_toy_system_log_coefficient():
     assert abs(fit_off.c_log) <= max(fit_off.residual, 1e-14)
 
 
+def test_toy_system_log_coefficient_matches_its_prediction():
+    # criterion 8's forcings; u1's log coefficient is half the integral of W^2 in rho0,
+    # W being u1c's w at the radiation face (see the modelpde docstring).  W vanishes
+    # below the forcings' rho0 support, so the integral may start at rho0_min.
+    f0 = lambda r0, rI: 12.0 * compact_log_bump(2e-2, 0.6)(r0) * compact_log_bump(1e-2)(rI)
+    f1 = lambda r0, rI: 2.0 * compact_log_bump(3e-2, 0.5)(r0) * compact_log_bump(2e-2)(rI)
+    gaps = []
+    for factor in (1, 2, 4):
+        grid = GRID.refined(factor)
+        _, u1c, u1 = coupled(grid, 0.5, (f0, f1, None))
+        rho0, W = grid.rho0, u1c.w[:, 0]
+        assert W[0] == 0.0
+        half_w2 = 0.5 * W**2
+        predicted = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(rho0) * (half_w2[1:] + half_w2[:-1]))])
+        gap = []
+        for r in (0.05, 0.09):
+            i = int(np.argmin(np.abs(rho0 - r)))
+            c_log = u1.leading_fit("log+const", rho0_value=r).c_log
+            assert c_log > 0.0
+            gap.append(abs(c_log - predicted[i]) / predicted[i])
+        gaps.append(gap)
+    gaps = np.array(gaps)
+    # the march is second order: each doubling cuts the gap about four times
+    assert np.all(gaps[:-1] >= 3.0 * gaps[1:]), gaps
+    assert np.all(gaps[-1] < 1e-3), gaps
+
+
 def test_toy_system_u1c_remainder_exponent():
     f0, _ = toy_setup()
     gamma = 0.5
@@ -433,6 +460,15 @@ def test_fit_const_manufactured():
     fit = mp.fit_leading_terms(rhoI, 3.0 + rhoI, "const")
     assert fit.c0 == pytest.approx(3.0, abs=1e-10)
     assert fit.exponent == pytest.approx(1.0, abs=0.02)
+
+
+def test_fit_on_a_grid_with_under_four_points_in_its_last_decade():
+    # 8 points over three decades put 3 in the last one: the fit takes the first 4 instead
+    rhoI = np.geomspace(1e-3, 1.0, 8)
+    values = 2.0 * np.log(rhoI) + 5.0
+    x, _ = mp._last_decade(rhoI, values)
+    assert np.array_equal(x, rhoI[:4])
+    assert mp.fit_leading_terms(rhoI, values, "log+const").c_log == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_log_const_manufactured():
