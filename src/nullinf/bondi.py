@@ -4,7 +4,10 @@ A congruence of asymptotically radial null geodesics carries the cut
 geometry: sphere tangents and curvatures come from angular stencils of
 trajectories, masses from quadrature over the cuts, and the retarded-time
 evolution of the mass aspect from the leading transport law of the gauged
-field equations, with radiated flux entering at the calibrated coefficient.
+field equations.  The flux coefficient is derived from the (1,1) equation:
+the O(r) parts of its two leading terms cancel only when the log coefficient
+c of the long component obeys d_u c = |N|^2 / 4, and the log term's
+transport value is -c/2, so d_u mu = -|N|^2 / 8.
 
 The angular data of the news modes (ell, em) = (2, 0) and (2, 1) are exact
 sympy literals, each written with the ``srepr`` that ``sp.simplify`` returned
@@ -31,8 +34,8 @@ from .metrics import (PH, RHO0, RHOI, TH, MetricField, PerturbationField, Weight
                       round_metric, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
-#: coefficient of |news|^2 in the retarded-time transport of the mass aspect;
-#: fixed once by the single-mode budget calibration
+#: coefficient of |news|^2 in the retarded-time transport of the mass aspect:
+#: (1/2) * (1/4), the log term's transport value times the rate of its coefficient
 MASS_ASPECT_FLUX_COEFF = 0.125
 
 
@@ -382,7 +385,7 @@ def _cumulative_trapezoid(f, u):
 def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiReport:
     """Integrate the leading (1,1) transport law through the news flux.
 
-    The mass-aspect density loses |N|^2 at the calibrated coefficient; its
+    The mass-aspect density loses |N|^2 / 8 (``MASS_ASPECT_FLUX_COEFF``); its
     angular average gives the Bondi mass, whose drop balances the flux
     integral identically on the shared grids.
     """

@@ -481,6 +481,18 @@ def _write_report(report: RunReport, outdir: Path):
     )
 
 
+def _run_one(name, options, outdir: Path) -> RunReport:
+    try:
+        return RUNNERS[name](options, outdir)
+    except (RuntimeError, ValueError) as exc:
+        # a solver that fails (Picard, Newton, tortoise inversion) is a failed check
+        report = RunReport(name)
+        # one CSV field: no commas, no line breaks
+        message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
+        report.add_exact("solver-error", "none", message)
+        return report
+
+
 def run(subcommand, config_path, outdir) -> int:
     """Execute one subcommand (or ``all``); returns the process exit code."""
     try:
@@ -490,6 +502,9 @@ def run(subcommand, config_path, outdir) -> int:
         names = list(RUNNERS) if subcommand == "all" else [subcommand]
         sliced = _slice_config(raw) if subcommand == "all" else {subcommand: raw}
         options = {name: resolve_options(name, sliced[name]) for name in names}
+        reports = [_run_one(name, options[name], outdir) for name in names]
+        for report in reports:
+            _write_report(report, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -497,24 +512,8 @@ def run(subcommand, config_path, outdir) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
-    reports = []
-    for name in names:
-        try:
-            reports.append(RUNNERS[name](options[name], outdir))
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return 2
-        except (RuntimeError, ValueError) as exc:
-            # a solver that fails (Picard, Newton, tortoise inversion) is a failed check
-            report = RunReport(name)
-            # one CSV field: no commas, no line breaks
-            message = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
-            report.add_exact("solver-error", "none", message)
-            reports.append(report)
-
     ok = True
     for report in reports:
-        _write_report(report, outdir)
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
             print(f"[{report.name}] {status} {c.name}: got {_fmt(c.got)} (expected {_fmt(c.expected)} +- {c.tolerance:g})")

@@ -165,20 +165,18 @@ def excess_decay_slopes(
     rho0=0.1,
     window=(1e-4, 1e-2),
     slack=0.1,
-    line_ids=None,
 ):
     """Fit the decay of (numeric - leading) for every registered line.
 
     A line passes when the fitted slope meets its remainder order minus the
-    slack, or when the residual is already at the evaluation noise floor.
-    Each line is sampled at 9 points of ``window`` at the angles (1.1, 0.7).
+    slack.  The slope is infinite (the line passes) when fewer than 3 points
+    of the residual clear the evaluation noise floor.  Each line is sampled
+    at 9 points of ``window`` at the angles (1.1, 0.7).
     """
     npts = 9
     theta, phi = 1.1, 0.7
     m = _mass(m)
     lines = _leading_exprs(h, m, h.weights)
-    if line_ids is not None:
-        lines = {k: v for k, v in lines.items() if k in line_ids}
 
     rhoI = np.geomspace(window[0], window[1], npts)
     s = np.full(npts, -1.0 / rho0)
@@ -192,33 +190,26 @@ def excess_decay_slopes(
     bg = MetricField(m)
     ev = metric.at(q, s, th, ph)
     ev_bg = bg.at(q, s, th, ph)
-    gamma = tensors.christoffel(ev)
-    ups = tensors.gauge_oneform(ev, ev_bg)
-    _, ricci = tensors.riemann_ricci(ev)
+    numeric = {
+        "gamma": tensors.christoffel(ev),
+        "upsilon": tensors.gauge_oneform(ev, ev_bg),
+        "ricci": tensors.riemann_ricci(ev)[1],
+    }
 
     results = []
     for line_id, (line, expr) in lines.items():
         # one compile per line: a shared cse pass over all lines changes the bits
         lead = compile_fields((RR, Q, S, TH, PH), [expr])(r, q, s, th, ph)[:, 0]
-        if line.kind == "gamma":
-            num = gamma[(slice(None),) + line.index]
-        elif line.kind == "upsilon":
-            num = ups[(slice(None),) + line.index]
-        else:
-            num = ricci[(slice(None),) + line.index]
-            if line.barred:
-                num = num / r
+        num = numeric[line.kind][(slice(None),) + line.index]
+        if line.barred:
+            num = num / r
         diff = np.abs(num - lead)
         scale = float(np.max(np.abs(lead)) + np.max(np.abs(num)))
         floor = 1e-13 * max(scale, 1.0)
         usable = diff > floor
-        if np.count_nonzero(usable) < 3:
-            results.append(LineCheck(line_id, float("inf"), line.remainder - slack, True,
-                                     float(np.max(diff)), scale))
-            continue
-        lx = np.log(rhoI[usable])
-        ly = np.log(diff[usable])
-        slope = _fit_decay(lx, ly, with_logs=line.log_loss)
+        slope = float("inf")
+        if np.count_nonzero(usable) >= 3:
+            slope = _fit_decay(np.log(rhoI[usable]), np.log(diff[usable]), with_logs=line.log_loss)
         required = line.remainder - slack
         results.append(LineCheck(line_id, slope, required, slope >= required,
                                  float(np.max(diff)), scale))

@@ -103,14 +103,11 @@ class ModeSolution:
     w: np.ndarray
     corner_mismatch: float = 0.0
 
-    def column(self, rho0_value=None):
+    def leading_fit(self, model="const", rho0_value=None):
+        """Fit the column of u nearest ``rho0_value`` (the middle one if None)."""
         rho0 = self.grid.rho0
         i = len(rho0) // 2 if rho0_value is None else int(np.argmin(np.abs(rho0 - rho0_value)))
-        return rho0[i], self.u[i, :]
-
-    def leading_fit(self, model="const", rho0_value=None):
-        _, col = self.column(rho0_value)
-        return fit_leading_terms(self.grid.rhoI, col, model)
+        return fit_leading_terms(self.grid.rhoI, self.u[i, :], model)
 
     def rhoI_log_derivative(self):
         """rhoI d/drhoI of u by centered differences on the log grid, one-sided at its ends."""
@@ -179,20 +176,15 @@ def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
 def solve_damped_mode(grid: CharacteristicGrid, gamma, forcing=None, data: BoundaryData | None = None) -> ModeSolution:
     """Mode solver with the damped first factor (rhoI d/drhoI - gamma).
 
-    ``forcing(rho0, rhoI)`` is called once, with rho0 of shape (1, n_ext)
-    over the extended grid and rhoI of shape (nJ, 1); its result must
-    broadcast to (nJ, n_ext).
+    ``gamma = 0`` is the undamped mode.  ``forcing(rho0, rhoI)`` is called
+    once, with rho0 of shape (1, n_ext) over the extended grid and rhoI of
+    shape (nJ, 1); its result must broadcast to (nJ, n_ext).
     """
     if gamma < 0:
         raise ValueError("damping exponent must be nonnegative")
     data = data or BoundaryData()
     u, w, mismatch = _march(grid, float(gamma), forcing, data)
     return ModeSolution(grid, float(gamma), u, w, mismatch)
-
-
-def solve_wave_mode(grid: CharacteristicGrid, forcing=None, data: BoundaryData | None = None) -> ModeSolution:
-    """Undamped model: identical code path with the damping set to zero."""
-    return solve_damped_mode(grid, 0.0, forcing, data)
 
 
 # -- the weak-null triangular system ----------------------------------------
@@ -241,14 +233,14 @@ def newton_iterate(
     a_u0 = u0.d1()
     a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2    # d1 of the zero start
     for k in range(steps):
-        u1c = solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0))
+        u1c = solve_damped_mode(grid, 0.0, linearized(forcing[1], a_prev[0], a_u0))
         a_u1c = u1c.d1()
         # each d1 is taken once; the old one and the source go as soon as they
         # are used, so keeping d1 adds nothing to the peak memory of the marches
         source = linearized(forcing[2], a_prev[1], a_u1c)
         fixed = np.array_equal(a_prev[0], a_u0) and np.array_equal(a_prev[1], a_u1c)
         a_prev = (a_u0, a_u1c)
-        u1 = solve_wave_mode(grid, source)
+        u1 = solve_damped_mode(grid, 0.0, source)
         del source
         current = (u0, u1c, u1)
         iterates.append(current)

@@ -174,7 +174,7 @@ def test_criterion_07_constraint_damping_decay():
     for gamma in (0.25, 0.5):
         fit = mp.solve_damped_mode(grid, gamma, forcing).leading_fit("const", rho0_value=0.05)
         ok &= abs(fit.exponent - gamma) <= 0.1 * gamma
-    fit0 = mp.solve_wave_mode(grid, forcing).leading_fit("const", rho0_value=0.05)
+    fit0 = mp.solve_damped_mode(grid, 0.0, forcing).leading_fit("const", rho0_value=0.05)
     ok &= abs(fit0.c0) > 1e-4 and fit0.residual < 1e-3 * abs(fit0.c0)
     # self-convergence of the scheme at second order
     sols = [mp.solve_damped_mode(grid.refined(k), 0.5, forcing) for k in (1, 2, 4)]
@@ -196,7 +196,7 @@ def test_criterion_08_weak_null_structure_and_iteration():
     # the coupled solution is the last iterate; uncoupled, u1 is the mode solve of its own (zero) forcing
     fit = iterates[-1][2].leading_fit("log+const", rho0_value=0.05)
     ok = abs(fit.c_log) > 10.0 * fit.residual
-    fit_off = mp.solve_wave_mode(grid, None).leading_fit("log+const", rho0_value=0.05)
+    fit_off = mp.solve_damped_mode(grid, 0.0, None).leading_fit("log+const", rho0_value=0.05)
     ok &= abs(fit_off.c_log) <= max(fit_off.residual, 1e-14)
 
     ok &= all(r < 50.0 for r in ratios[1:5])

@@ -6,8 +6,10 @@ import pytest
 import sympy as sp
 
 from nullinf import bondi as bd
-from nullinf.compactify import BoundaryTriple, null_frame_coefficients
-from nullinf.metrics import PH, RHO0, TH, ROUND_INV, MetricField, compile_fields
+from nullinf import tensors as tn
+from nullinf.compactify import BoundaryTriple, null_frame_coefficients, tortoise
+from nullinf.metrics import (PH, RHO0, RHOI, TH, ROUND_INV, MetricField, PerturbationField, compile_fields,
+                             sphere_dot)
 
 warnings.filterwarnings("ignore", message="tail truncation")
 
@@ -335,6 +337,35 @@ def test_log_coefficient_transport_value():
             assert val == pytest.approx(-c / 2.0, rel=3e-3 if m else 1e-12)
     aspect, mass, _ = bd.bondi_mass_from_data(c, None, M)
     assert mass == pytest.approx(M - c / 2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("mode", [(2, 0), (2, 1)])
+@pytest.mark.parametrize("profile", [1 / (10 * (1 + 5 * RHO0)), RHO0**2 * sp.exp(-RHO0) / 20])
+def test_flux_coefficient_from_the_gauged_field_equation(mode, profile):
+    # h_AB = A(rho0) E and h_11 = c log rhoI with d_u c = (1/4)|d_u (A E)|^2
+    # (u = s = -1/rho0, so d_u = rho0^2 d/drho0): the O(r) parts of the two
+    # leading (1,1) terms cancel.  With the transport value -c/2 of the log
+    # term this is d_u mu = -(1/8)|N|^2, the mass-aspect flux coefficient.
+    sigma = sp.Symbol("sigma", positive=True)
+    E = bd.tensor_harmonic(*mode)
+    dA = sp.diff(profile, RHO0).subs(RHO0, sigma)
+    c = sp.Rational(1, 4) * sphere_dot(E, E) * sp.integrate(dA**2 * sigma**2, (sigma, 0, RHO0))
+    h = PerturbationField({"22": profile * E[0, 0], "23": profile * E[0, 1], "33": profile * E[1, 1],
+                           "11": c * sp.log(RHOI)})
+    s = -20.0
+    r = np.array([1e4, 1e5])
+    _, (t1, t2) = tn.gauged_residual_11(h, M, s + 2 * tortoise(r, M), s, 1.1, 0.7)
+
+    def growth(t):  # log-log slope in r
+        return math.log10(abs(t[1] / t[0]))
+
+    assert growth(t2) == pytest.approx(1.0, abs=1e-9)
+    assert abs(growth(t1 + t2)) < 0.01 and abs(t1[1] + t2[1]) < 1e-4 * abs(t2[1])
+    # t1 is linear in h_11: a coefficient 1% off leaves a remainder growing like r
+    for k in (0.99, 1.01):
+        assert growth(k * t1 + t2) > 0.95
+    # d_u mu = (transport value -1/2) * (d_u c = |N|^2 / 4)
+    assert -bd.MASS_ASPECT_FLUX_COEFF == -0.5 * 0.25
 
 
 def test_bondi_mass_with_log_and_mode():

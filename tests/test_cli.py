@@ -447,6 +447,17 @@ def test_write_error_in_a_runner_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "io error: no space left to write modelpde_solution.csv\n"
 
 
+def test_report_write_error_exits_2(tmp_path, capsys, monkeypatch):
+    def full_disk(report, outdir):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_report", full_disk)
+    assert cli.run("index-sets", None, tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "io error: disk full\n"
+    assert captured.out == ""  # no check line prints before the reports are written
+
+
 def test_model_pde_without_damping_checks_the_leading_term(tmp_path):
     out = tmp_path / "out"
     assert cli.run("model-pde", write_config(tmp_path, "gamma = 0\n"), out) == 0

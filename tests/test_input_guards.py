@@ -106,7 +106,7 @@ RAISES = {
     RuntimeError: {
         "fixed-point-cap": (lambda: ix._least_fixed_point(lambda n: n + 1, 0, 5, "counting"),
                             "counting did not stabilize within 5 iterations"),
-        "march-unfilled": (lambda: mp.solve_wave_mode(mp.CharacteristicGrid(), lambda r0, rI: np.nan),
+        "march-unfilled": (lambda: mp.solve_damped_mode(mp.CharacteristicGrid(), 0.0, lambda r0, rI: np.nan),
                            "characteristic march left unfilled cells in the core window"),
     },
 }

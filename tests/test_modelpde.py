@@ -51,7 +51,7 @@ def test_grid_validation():
 
 def test_constant_solution_is_exact():
     data = mp.BoundaryData(u_top=lambda r0: np.ones_like(r0))
-    sol = mp.solve_wave_mode(GRID, forcing=None, data=data)
+    sol = mp.solve_damped_mode(GRID, 0.0, forcing=None, data=data)
     assert np.all(sol.u == 1.0)
     assert np.all(sol.w == 0.0)
 
@@ -61,23 +61,24 @@ def test_w_transport_conserved_without_source():
         u_top=lambda r0: np.sin(np.log(r0)),
         w_top=lambda r0: 1.0 / (1.0 + r0),
     )
-    sol = mp.solve_wave_mode(GRID, forcing=None, data=data)
+    sol = mp.solve_damped_mode(GRID, 0.0, forcing=None, data=data)
     spread = np.max(sol.w, axis=1) - np.min(sol.w, axis=1)
     assert np.max(spread) < 1e-12
 
 
 def test_damped_gamma_zero_identical_to_wave():
+    # the undamped mode is gamma = 0, however the zero is written
     f = lambda r0, rI: r0 * log_bump(1e-3)(rI)
     data = mp.BoundaryData(u_top=lambda r0: r0)
-    a = mp.solve_wave_mode(GRID, f, data)
-    b = mp.solve_damped_mode(GRID, 0.0, f, data)
+    a = mp.solve_damped_mode(GRID, 0.0, f, data)
+    b = mp.solve_damped_mode(GRID, 0, f, data)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
 
 
 def test_w_consistent_with_u():
     # w must equal the frame derivative of u to scheme order
     f = lambda r0, rI: r0**0.6 * log_bump(3e-3)(rI)
-    sol = mp.solve_wave_mode(GRID, f)
+    sol = mp.solve_damped_mode(GRID, 0.0, f)
     h = GRID.h
     # rho0 d/drho0 u - rhoI d/drhoI u by central differences on the core
     du0 = np.empty_like(sol.u)
@@ -100,12 +101,12 @@ def _remainder_exponent(sol, rho0_value=None):
 def test_forced_mode_leading_term_and_remainder_exponent():
     bI, b0 = 0.3, 0.6
     f = lambda r0, rI: r0**b0 * rI ** (bI - 1.0) * log_bump(2e-2, 0.7)(r0)
-    sol = mp.solve_wave_mode(GRID, f)
+    sol = mp.solve_damped_mode(GRID, 0.0, f)
     fit = sol.leading_fit("const", rho0_value=0.05)
     assert fit.c0 is not None and abs(fit.c0) > 1e-6
     assert fit.exponent == pytest.approx(bI, abs=0.03)
     # reference at doubled resolution confirms the fit is converged
-    ref = mp.solve_wave_mode(GRID.refined(2), f)
+    ref = mp.solve_damped_mode(GRID.refined(2), 0.0, f)
     fit_ref = ref.leading_fit("const", rho0_value=0.05)
     assert fit_ref.exponent == pytest.approx(bI, abs=0.03)
     assert abs(fit.c0 - fit_ref.c0) < 5e-4 * max(1.0, abs(fit.c0))
@@ -113,7 +114,7 @@ def test_forced_mode_leading_term_and_remainder_exponent():
 
 def test_self_convergence_second_order():
     f = lambda r0, rI: r0**0.6 * rI ** (-0.5) * log_bump(2e-2, 0.7)(r0) * log_bump(1e-2, 0.8)(rI)
-    sols = [mp.solve_wave_mode(GRID.refined(k), f) for k in (1, 2, 4)]
+    sols = [mp.solve_damped_mode(GRID.refined(k), 0.0, f) for k in (1, 2, 4)]
     e1 = np.max(np.abs(sols[0].u - sols[2].u[::4, ::4]))
     e2 = np.max(np.abs(sols[1].u[::1, ::1][::2, ::2] - sols[2].u[::4, ::4]))
     order = math.log2(e1 / e2)
@@ -133,7 +134,7 @@ def test_damped_decay_exponent(gamma, window):
 
 def test_gamma_zero_has_finite_nonzero_leading_term():
     f = lambda r0, rI: log_bump(2e-2, 0.6)(r0) * compact_log_bump(1e-2)(rI)
-    sol = mp.solve_wave_mode(GRID, f)
+    sol = mp.solve_damped_mode(GRID, 0.0, f)
     fit = sol.leading_fit("const", rho0_value=0.05)
     assert abs(fit.c0) > 1e-4
     assert fit.residual < 1e-3 * abs(fit.c0)
@@ -177,7 +178,7 @@ def test_toy_system_log_coefficient():
     fit_ref = ref.leading_fit("log+const", rho0_value=0.05)
     assert fit.c_log == pytest.approx(fit_ref.c_log, rel=0.02)
     # without the quadratic coupling u1 is the plain mode solve of its own (zero) forcing: no log
-    fit_off = mp.solve_wave_mode(GRID, None).leading_fit("log+const", rho0_value=0.05)
+    fit_off = mp.solve_damped_mode(GRID, 0.0, None).leading_fit("log+const", rho0_value=0.05)
     assert abs(fit_off.c_log) <= max(fit_off.residual, 1e-14)
 
 
@@ -304,9 +305,9 @@ def newton_every_sweep(grid, gamma, forcing, steps):
     a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2
     iterates = []
     for _ in range(steps):
-        u1c = mp.solve_wave_mode(grid, linearized(forcing[1], a_prev[0], a_u0))
+        u1c = mp.solve_damped_mode(grid, 0.0, linearized(forcing[1], a_prev[0], a_u0))
         a_u1c = u1c.d1()
-        u1 = mp.solve_wave_mode(grid, linearized(forcing[2], a_prev[1], a_u1c))
+        u1 = mp.solve_damped_mode(grid, 0.0, linearized(forcing[2], a_prev[1], a_u1c))
         a_prev = (a_u0, a_u1c)
         iterates.append((u0, u1c, u1))
     errors = [max(float(np.max(np.abs(it[c].u - iterates[-1][c].u))) for c in range(3)) for it in iterates]
