@@ -55,6 +55,11 @@ _CENTER = 4
 _DELTA = 5e-3
 
 
+def _central_differences(P):
+    """d_theta and d_phi of stencil values ``P[:, 9, ...]`` by central differences, on axis 1."""
+    return np.stack([P[:, 7] - P[:, 1], P[:, 5] - P[:, 3]], axis=1) / (2 * _DELTA)
+
+
 class Congruence:
     """Batched radial null geodesics toward one cut of the radiation face."""
 
@@ -112,7 +117,7 @@ class Congruence:
 
         Pc = P[:, _CENTER, :]
         L = V[:, _CENTER, :]
-        T = np.stack([P[:, 7] - P[:, 1], P[:, 5] - P[:, 3]], axis=1) / (2 * d)  # (n, 2, 4)
+        T = _central_differences(P)  # (n, 2, 4)
         # second differences of the embedding, d_a d_b x
         D = np.empty((n, 2, 2, 4))
         D[:, 0, 0] = (P[:, 7] - 2 * Pc + P[:, 1]) / d**2
@@ -174,13 +179,12 @@ def area_radius(cut: SphereCut):
     """
     con = cut.congruence
     n = cut.points.shape[0]
-    d = _DELTA
     # embedding-derivative columns at the center affine parameter
     s_members = np.repeat(cut.s_star, 9)
     xc, _ = con.traj.interpolate_per_member(s_members)
-    xc = xc.reshape(n, 9, 4)
+    dx = _central_differences(xc.reshape(n, 9, 4))
     # columns d_theta x, d_phi x and d_s x (= L) of each point's (4, 3) embedding Jacobian
-    J = np.stack([(xc[:, 7] - xc[:, 1]) / (2 * d), (xc[:, 5] - xc[:, 3]) / (2 * d), cut.L], axis=-1)
+    J = np.stack([dx[:, 0], dx[:, 1], cut.L], axis=-1)
 
     # tangents e_a + f_a d_1, with f_a making them orthogonal to the generator
     gv = np.einsum("nk,nkm->nm", cut.L, cut.g)

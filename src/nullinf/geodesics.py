@@ -97,8 +97,7 @@ class GeodesicTrajectory:
 
     def null_norm(self, metric: MetricField):
         ev = metric.at(self.x[..., 0], self.x[..., 1], self.x[..., 2], self.x[..., 3])
-        g = ev.g.reshape(self.x.shape[:-1] + (4, 4))
-        return np.einsum("...mn,...m,...n->...", g, self.v, self.v)
+        return np.einsum("...mn,...m,...n->...", ev.g, self.v, self.v)
 
     def fitted_rates(self, m):
         """Decay exponents of the velocity components against the affine parameter.

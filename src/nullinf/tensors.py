@@ -3,14 +3,13 @@
 Numeric tensor assembly sits on top of the exact derivative evaluators of
 :mod:`nullinf.metrics`: the inverse metric and all contractions are done
 pointwise with numpy, so every quantity is analytic-in-derivatives up to
-roundoff.  Energy-current algebra is generated symbolically per chart and
-compiled once.
+roundoff.  Energy-current algebra is generated symbolically on the static
+chart of the temporal face and compiled once per multiplier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import sympy as sp
@@ -143,16 +142,12 @@ def modified_gradient_correction(gamma1, gamma2, ev: MetricEval, omega_vals: np.
 # -- K-currents --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BFrameChart:
-    """Local chart with an explicit b-metric, for energy-current algebra."""
+@cache
+def ds_static_chart():
+    """Static chart (rho_+, R, theta, phi) of the de Sitter model at the temporal face.
 
-    coords: tuple
-    metric: sp.Matrix
-
-
-def ds_static_chart() -> BFrameChart:
-    """Static chart (rho_+, R, theta, phi) of the de Sitter model at the temporal face."""
+    Returns the coordinates, the metric and its inverse; built on first use.
+    """
     rp, Rr, th, ph = sp.symbols("rho_plus R theta phi", positive=True)
     g = sp.zeros(4, 4)
     g[0, 0] = (1 - Rr**2) / rp**2
@@ -160,16 +155,7 @@ def ds_static_chart() -> BFrameChart:
     g[1, 1] = -1
     g[2, 2] = -(Rr**2)
     g[3, 3] = -(Rr**2) * sp.sin(th) ** 2
-    return BFrameChart((rp, Rr, th, ph), g)
-
-
-@dataclass(frozen=True)
-class CurrentSpec:
-    """Multiplier vector field on a chart; ``params`` are further symbols of ``W``."""
-
-    chart: BFrameChart
-    W: tuple
-    params: tuple = ()
+    return (rp, Rr, th, ph), sp.ImmutableMatrix(g), sp.ImmutableMatrix(g.inv())
 
 
 def _lie_inverse(coords, W, G):
@@ -183,22 +169,13 @@ def _lie_inverse(coords, W, G):
     return L
 
 
-def k_current(spec: CurrentSpec):
-    """Compile K_W = -(L_W G + (div W) G)/2 and div W on the chart.
+def _compile_matrix_and_scalar(params, M, c):
+    """Compile a 4x4 matrix and a scalar on the chart's coordinates and ``params``.
 
-    Returns a callable mapping four coordinate arrays to the contravariant
-    current (..., 4, 4) and the scalar divergence (standard orientation:
-    the metric divergence of W).
+    The callable maps four coordinate arrays and the parameter values to
+    arrays of shape (..., 4, 4) and (...).
     """
-    coords = spec.chart.coords
-    g = spec.chart.metric
-    G = g.inv()
-    W = [sp.sympify(w) for w in spec.W]
-    sqrt_det = sp.sqrt(-g.det())
-    div = sum(sp.diff(sqrt_det * W[mu], coords[mu]) for mu in range(4)) / sqrt_det
-    K = -(_lie_inverse(coords, W, G) + div * G) / 2
-    flat = [K[i, j] for i in range(4) for j in range(4)] + [div]
-    fn = compile_fields(tuple(coords) + tuple(spec.params), flat)
+    fn = compile_fields(ds_static_chart()[0] + params, [M[i, j] for i in range(4) for j in range(4)] + [c])
 
     def evaluate(x0, x1, x2, x3, *param_values):
         arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, x1, x2, x3)))
@@ -208,27 +185,44 @@ def k_current(spec: CurrentSpec):
     return evaluate
 
 
-# the temporal-face weight exponent a_+ of the multiplier, and the point
-# (rho_+, theta) of the static chart where its current is reported
+@cache
+def k_current(W, params=()):
+    """Compile K_W = -(L_W G + (div W) G)/2 and div W on the static chart.
+
+    ``W`` is a tuple of the multiplier's components and ``params`` a tuple
+    of the further symbols they hold.  Returns a callable mapping four coordinate
+    arrays and the parameter values to the contravariant current (..., 4, 4)
+    and the scalar divergence (standard orientation: the metric divergence
+    of W).
+    """
+    coords, g, G = ds_static_chart()
+    W = [sp.sympify(w) for w in W]
+    sqrt_det = sp.sqrt(-g.det())
+    div = sum(sp.diff(sqrt_det * W[mu], coords[mu]) for mu in range(4)) / sqrt_det
+    K = -(_lie_inverse(coords, W, G) + div * G) / 2
+    return _compile_matrix_and_scalar(params, K, div)
+
+
+# the temporal-face weight exponent a_+ of the multiplier, the symbol of its
+# weight exponent a_I (a runtime argument of the compiled current), and the
+# point (rho_+, theta) of the static chart where its current is reported
 _A_PLUS = -1.5
+_A_I = sp.Symbol("a_I")
 _RHO_PLUS = 0.5
 _THETA = 1.1
 
 
-def temporal_multiplier(aI) -> CurrentSpec:
-    """The weighted timelike multiplier of the temporal-face estimate."""
-    chart = ds_static_chart()
-    rp, Rr = chart.coords[0], chart.coords[1]
+def temporal_multiplier():
+    """The weighted timelike multiplier of the temporal-face estimate, its weight exponent a_I left symbolic."""
+    rp, Rr = ds_static_chart()[0][:2]
     rhoI = 1 - Rr**2
-    w = rhoI ** (-2 * sp.nsimplify(aI)) * rp ** (-2 * sp.nsimplify(_A_PLUS))
-    W = (-(1 + Rr**2) * rp * w, -rhoI * Rr * w, 0, 0)
-    return CurrentSpec(chart, W)
+    w = rhoI ** (-2 * _A_I) * rp ** (-2 * sp.nsimplify(_A_PLUS))
+    return (-(1 + Rr**2) * rp * w, -rhoI * Rr * w, 0, 0)
 
 
-def dilation_field_dS() -> CurrentSpec:
+def dilation_field_dS():
     """The temporal-face scaling field, a Killing field of the static model."""
-    chart = ds_static_chart()
-    return CurrentSpec(chart, (chart.coords[0], 0, 0, 0))
+    return (ds_static_chart()[0][0], 0, 0, 0)
 
 
 def multiplier_features(aI, R):
@@ -240,7 +234,7 @@ def multiplier_features(aI, R):
     weight rhoI^(2 aI) rho_+^(2 a+) and the sign convention of the negative
     divergence.
     """
-    Kv, div = k_current(temporal_multiplier(aI))(_RHO_PLUS, R, _THETA, 0.0)
+    Kv, div = k_current(temporal_multiplier(), (_A_I,))(_RHO_PLUS, R, _THETA, 0.0, aI)
     R = np.atleast_1d(np.asarray(R, dtype=float))
     rhoI = 1.0 - R**2
     s1 = rhoI ** (2 * aI + 1) * _RHO_PLUS ** (2 * _A_PLUS)
@@ -257,10 +251,9 @@ def multiplier_features(aI, R):
     }
 
 
-def energy_momentum(chart: BFrameChart, X, Y):
-    """Abstract stress tensor T(X, Y) = X sym Y - g(X, Y) G / 2 on the chart."""
-    g = chart.metric
-    G = g.inv()
+def energy_momentum(X, Y):
+    """Abstract stress tensor T(X, Y) = X sym Y - g(X, Y) G / 2 on the static chart."""
+    _, g, G = ds_static_chart()
     Xv = sp.Matrix(4, 1, [sp.sympify(x) for x in X])
     Yv = sp.Matrix(4, 1, [sp.sympify(y) for y in Y])
     sym = (Xv * Yv.T + Yv * Xv.T) / 2
@@ -268,29 +261,20 @@ def energy_momentum(chart: BFrameChart, X, Y):
     return sym - scal * G / 2
 
 
-def gradient_vector(chart: BFrameChart, f):
-    g = chart.metric
-    G = g.inv()
-    df = sp.Matrix(4, 1, [sp.diff(sp.sympify(f), c) for c in chart.coords])
+def gradient_vector(f):
+    coords, _, G = ds_static_chart()
+    df = sp.Matrix(4, 1, [sp.diff(sp.sympify(f), c) for c in coords])
     return list(G * df)
 
 
-def product_rule_residual(chart: BFrameChart, V, f, points, params=(), param_values=()):
+def product_rule_residual(V, f, points, params=(), param_values=()):
     """max |K_{fV} - T(grad f, V) - f K_V| over the sample points."""
-    V = [sp.sympify(v) for v in V]
+    V = tuple(sp.sympify(v) for v in V)
     f = sp.sympify(f)
-    fV = [f * v for v in V]
-    k_fv = k_current(CurrentSpec(chart, tuple(fV), params=tuple(params)))
-    k_v = k_current(CurrentSpec(chart, tuple(V), params=tuple(params)))
-    T = energy_momentum(chart, gradient_vector(chart, f), V)
-    flat = [T[i, j] for i in range(4) for j in range(4)] + [f]
-    fn = compile_fields(tuple(chart.coords) + tuple(params), flat)
-
-    K1, _ = k_fv(*points, *param_values)
-    K2, _ = k_v(*points, *param_values)
-    vals = fn(*(np.atleast_1d(np.asarray(p, dtype=float)) for p in points), *param_values)
-    Tv = vals[..., :16].reshape(vals.shape[:-1] + (4, 4))
-    fv = vals[..., 16]
+    params = tuple(params)
+    K1, _ = k_current(tuple(f * v for v in V), params)(*points, *param_values)
+    K2, _ = k_current(V, params)(*points, *param_values)
+    Tv, fv = _compile_matrix_and_scalar(params, energy_momentum(gradient_vector(f), V), f)(*points, *param_values)
     resid = K1 - Tv - fv[..., None, None] * K2
     return float(np.max(np.abs(resid)))
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 from pathlib import Path
@@ -253,8 +254,7 @@ def test_spec_point_values():
 
 
 def test_k_current_product_rule():
-    chart = tn.ds_static_chart()
-    rp, Rr, th, ph = chart.coords
+    rp, Rr, th, ph = tn.ds_static_chart()[0]
     c = sp.symbols("c0:6")
     V = (
         c[0] * rp * (1 + Rr**2),
@@ -270,11 +270,73 @@ def test_k_current_product_rule():
         rng.uniform(0.6, 2.4, 10),
         rng.uniform(0.1, 6.0, 10),
     )
-    worst = 0.0
-    for _ in range(10):  # 10 draws x 10 points = 100 (f, V) samples
-        vals = rng.normal(size=6)
-        worst = max(worst, tn.product_rule_residual(chart, V, f, pts, params=c, param_values=vals))
-    assert worst < 1e-8
+    # 10 draws x 10 points = 100 (f, V) samples
+    resid = [tn.product_rule_residual(V, f, pts, params=c, param_values=rng.normal(size=6)) for _ in range(10)]
+    assert max(resid) < 1e-8
+    # the first draw's residual, bit for bit as when each call built its own chart and currents
+    assert resid[0].hex() == "0x1.c000000000000p-47"
+
+
+#: (aI, R, (trK1, detK1, kslash, div)) drawn by ``default_rng(23)``, recorded when each aI
+#: compiled its own current with the exponent as an exact rational
+MULTIPLIER_FEATURES = [
+    (-0.1516087753173334, 0.16457388462299738, (-2.031605345241971, 0.013557431959135086, -1.99178748499555, 5.929405842991293)),
+    (-0.17417296502236085, 0.6734057197856991, (-2.292219212931496, 0.14259137534726674, -1.8420337376046847, 4.777116948329177)),
+    (-0.39468298354341647, 0.5836500390043722, (-2.9350990213152395, 0.21464167982956517, -1.7311045608995697, 4.780914385739529)),
+    (-0.40110553844352836, 0.8310728104689505, (-3.64489585492435, 0.20528265956754588, -1.4459272359168458, 3.510490439232172)),
+    (-0.16906142582612743, 0.9012233967168148, (-2.0022000857959954, 0.08570883516408334, -1.725375398997501, 3.826343576415416)),
+    (-0.08301344443498093, 0.16025849477667256, (-2.0158464329979195, 0.007619279206511301, -1.9957359670843478, 5.940106363872524)),
+    (-0.3632349721906253, 0.812662638391871, (-3.3636458507285827, 0.2074860107291432, -1.5202243097203487, 3.719607491764624)),
+    (-0.3562519860531335, 0.3526591125461763, (-2.334537698231893, 0.09989984392550555, -1.9113869856112293, 5.574037071898744)),
+    (-0.14186860655285943, 0.6497663917343484, (-2.1732478322361297, 0.1187940924108093, -1.8802071803442255, 4.916021633033504)),
+    (-0.24759914161221172, 0.7615346881479388, (-2.6426294428237496, 0.18153242222824195, -1.7128171433821062, 4.2657641242590545)),
+    (-0.2714545698244941, 0.8275969792163564, (-2.803852971461471, 0.17071704437499524, -1.628152431092865, 3.8864713421696524)),
+    (-0.2998664439714236, 0.902482333515229, (-3.0249751705284265, 0.12689663483707614, -1.511532938538156, 3.394117152462126)),
+    (-0.42254288614821245, 0.6577643578947968, (-3.2463310430695085, 0.23957374972650092, -1.6343703020904516, 4.403432703147396)),
+    (-0.25449354865803, 0.8373668303888645, (-2.694504563414279, 0.15901008890885393, -1.6431067939498585, 3.883847170628731)),
+    (-0.3203750897721387, 0.5481589887002051, (-2.647403186036761, 0.18306372984704655, -1.8074684901317635, 5.013980426477863)),
+    (-0.2826969960850413, 0.3366886796736889, (-2.237935442940544, 0.08152457491713727, -1.9359073514698557, 5.645096168898887)),
+    (-0.21767193768665183, 0.2780462796930505, (-2.1252736474342195, 0.048589391425712836, -1.9663436809482324, 5.778067894594172)),
+    (-0.15605643240894634, 0.5483019559750725, (-2.222774604852803, 0.11076397572310193, -1.9061679379845924, 5.211065806117005)),
+    (-0.1813564778133614, 0.7462827214577598, (-2.300180959100536, 0.14654103955457098, -1.7979914080648178, 4.482107015436836)),
+    (-0.13063708482791409, 0.509474626363248, (-2.154125537818752, 0.0873091973194039, -1.932182528248203, 5.345236266680464)),
+]
+
+
+def test_multiplier_features_match_the_values_of_the_exact_exponent_build():
+    rng = np.random.default_rng(23)
+    pairs = zip(rng.uniform(-0.45, -0.02, 20), rng.uniform(0.15, 0.95, 20))
+    for (aI, R), (a_ref, R_ref, expected) in zip(pairs, MULTIPLIER_FEATURES):
+        assert (aI, R) == (a_ref, R_ref)
+        feats = tn.multiplier_features(aI, R)
+        got = [feats[k][0] for k in ("trK1", "detK1", "kslash", "div")]
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-13
+
+
+def test_killing_current_round_off_is_bitwise_pinned():
+    # the round-off left of the vanishing current, as when each call built its own chart
+    rng = np.random.default_rng(24)
+    pts = [rng.uniform(lo, hi, 50) for lo, hi in ((0.2, 0.9), (0.15, 0.95), (0.6, 2.4), (0.1, 6.0))]
+    kv, dv = tn.k_current(tn.dilation_field_dS())(*pts)
+    assert kv.shape == (50, 4, 4) and dv.shape == (50,)
+    assert hashlib.sha256(kv.tobytes() + dv.tobytes()).hexdigest() == (
+        "511920d7748fce4c93a4e7dde4ba40b83e6b50d95077b69fabf31e3630a62500"
+    )
+
+
+def test_multiplier_compiles_once_for_all_weight_exponents(monkeypatch):
+    calls = []
+    compiled = metrics._compiled
+
+    def counting(*args):
+        calls.append(args)
+        return compiled(*args)
+
+    tn.k_current.cache_clear()
+    monkeypatch.setattr(metrics, "_compiled", counting)
+    for aI in np.linspace(-0.45, -0.02, 20):
+        tn.multiplier_features(aI, 0.5)
+    assert len(calls) == 1
 
 
 # -- de Sitter conjugation and indicial roots -----------------------------------
