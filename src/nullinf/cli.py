@@ -206,6 +206,8 @@ RELATIONS = {
          lambda v: math.isfinite(v["eps"] / v["rho_min"]) and _model_grid(v).cells <= 1.1e6),
         # the march takes ell (ell + 1) as a float
         ("ell <= 1e154", lambda v: v["ell"] <= 1e154),
+        # the forcing takes log(rhoI / forcing_center) for rhoI up to eps
+        ("eps / forcing_center <= 1e300", lambda v: v["eps"] / v["forcing_center"] <= 1e300),
     ],
     "geodesics": [
         # the tail integrand squares the affine parameter up to s0 * 1e7
@@ -218,6 +220,12 @@ RELATIONS = {
         ("mass <= 0.02 s0", lambda v: v["mass"] <= 0.02 * v["s0"]),
         # the angular directions of the chart are singular at the poles
         ("0 < theta < pi", lambda v: 0.0 < v["theta"] < math.pi),
+        # the geodesic starts at r0 = (s0 - x1bar)/2 + 2 ln(2) mass, and a sweep samples
+        # the force mass/r**2 on panels of ln(10)/32 s0: Picard fails for r0 up to
+        # 0.33 (mass s0^2)^(1/3) at mass = 0.02 s0 (0.13 at 1e-3 s0, 0.024 at 1e-14 s0),
+        # and at mass 0 for r0 within 1e-15 s0 of 0; the bound keeps r0 >= (mass s0^2)^(1/3) / 2
+        ("s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0",
+         lambda v: v["s0"] - v["x1bar"] >= v["mass"] ** (1 / 3) * v["s0"] ** (2 / 3) + 1e-9 * v["s0"]),
     ],
     "bondi": [
         ("u_start < u_end", lambda v: v["u_start"] < v["u_end"]),
@@ -245,6 +253,9 @@ RELATIONS = {
         ("window_high < 1", lambda v: v["window_high"] < 1.0),
         # the compiled fields take 1/r**4 at radii up to r = 1/(rho0 window_low)
         ("rho0 * window_low >= 1e-60", lambda v: v["rho0"] * v["window_low"] >= 1e-60),
+        # the sampled radii 1/(rho0 rhoI) reach down to 1/(rho0 window_high), which must
+        # lie outside the horizon r = 2 mass; a product too large for a float is inf here
+        ("2 mass rho0 window_high < 1", lambda v: 2.0 * v["mass"] * v["rho0"] * v["window_high"] < 1.0),
     ],
 }
 

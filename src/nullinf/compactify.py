@@ -159,50 +159,23 @@ class TemporalPoint:
 
 
 def to_nullcone(p: TemporalPoint) -> NullConePoint:
-    rho, v, omega = chart_transition_temporal_to_nullcone(p.rho_plus, p.X)
-    return NullConePoint(rho, v, tuple(omega))
-
-
-def to_temporal(p: NullConePoint) -> TemporalPoint:
-    rho_plus, X = chart_transition_nullcone_to_temporal(p.rho, p.v, p.omega)
-    return TemporalPoint(rho_plus, tuple(X))
-
-
-def chart_transition_temporal_to_nullcone(rho_plus, X):
-    """(rho_+', X) -> (rho, v, omega) across the chart overlap."""
-    X = np.asarray(X, dtype=float)
+    """(rho_+', X) -> (rho, v, omega) across the chart overlap; singular at X = 0."""
+    X = np.asarray(p.X, dtype=float)
     aX = float(np.linalg.norm(X))
     if aX == 0.0:
         raise ValueError("chart transition is singular at X = 0")
-    rho = float(rho_plus) / aX
-    v = 1.0 / aX - 1.0
-    omega = X / aX
-    return rho, v, omega
+    return NullConePoint(float(p.rho_plus) / aX, 1.0 / aX - 1.0, tuple(X / aX))
 
 
-def chart_transition_nullcone_to_temporal(rho, v, omega):
-    """Inverse transition: (rho, v, omega) -> (rho_+', X)."""
-    if 1.0 + float(v) <= 0.0:
-        raise ValueError(f"chart transition is singular at v = {v} <= -1")
-    scale = 1.0 / (1.0 + float(v))
-    return float(rho) * scale, np.asarray(omega, dtype=float) * scale
+def to_temporal(p: NullConePoint) -> TemporalPoint:
+    """Inverse transition: (rho, v, omega) -> (rho_+', X); singular at v <= -1."""
+    if 1.0 + float(p.v) <= 0.0:
+        raise ValueError(f"chart transition is singular at v = {p.v} <= -1")
+    scale = 1.0 / (1.0 + float(p.v))
+    return TemporalPoint(float(p.rho) * scale, tuple(np.asarray(p.omega, dtype=float) * scale))
 
 
 # -- boundary defining functions and the null frame ------------------------
-
-
-@dataclass(frozen=True)
-class DoubleNullPoint:
-    q: float            # t + r_*
-    s: float            # t - r_*
-
-    @property
-    def t(self):
-        return 0.5 * (self.q + self.s)
-
-    @property
-    def rstar(self):
-        return 0.5 * (self.q - self.s)
 
 
 @dataclass(frozen=True)
@@ -213,13 +186,13 @@ class BoundaryTriple:
     region: str       # "past" (towards spatial infinity) or "future"
 
 
-def boundary_defining(p: DoubleNullPoint, m) -> BoundaryTriple:
-    """Defining functions of the faces through the given double-null point."""
+def boundary_defining(q, s, m) -> BoundaryTriple:
+    """Defining functions of the faces through the double-null point (q, s)."""
     m = _mass(m)
-    w = p.rstar - p.t  # = -s
+    w = -float(s)  # r_* - t
     if w == 0.0:
         raise ValueError("the point lies on the reference light cone")
-    r = inverse_tortoise(p.rstar, m)
+    r = double_null_radius(q, s, m)
     if r <= 2.0 * m:
         raise ValueError("point inside the excluded horizon region")
     if w > 0.0:

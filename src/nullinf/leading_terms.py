@@ -16,7 +16,7 @@ import numpy as np
 import sympy as sp
 
 from .compactify import _mass, tortoise
-from .metrics import (PH, Q, RR, S, TH, ROUND_METRIC, MetricField, PerturbationField, Weights, _diff_ops,
+from .metrics import (CHART, RR, TH, ROUND_METRIC, MetricField, PerturbationField, Weights, _diff_ops,
                       compile_fields, sphere_cov_vector, sphere_div_tensor, sphere_dot, sphere_trace)
 from . import tensors
 
@@ -199,7 +199,7 @@ def excess_decay_slopes(
     results = []
     for line_id, (line, expr) in lines.items():
         # one compile per line: a shared cse pass over all lines changes the bits
-        lead = compile_fields((RR, Q, S, TH, PH), [expr])(r, q, s, th, ph)[:, 0]
+        lead = compile_fields(CHART, [expr])(r, q, s, th, ph)[:, 0]
         num = numeric[line.kind][(slice(None),) + line.index]
         if line.barred:
             num = num / r

@@ -24,6 +24,8 @@ from .compactify import _mass, double_null_radius
 
 Q, S, TH, PH, RR = sp.symbols("q s theta phi r", real=True, positive=False)
 RHO0, RHOI = sp.symbols("rho0 rhoI", positive=True)
+#: the arguments of every compiled field of the double-null chart, in order
+CHART = (RR, Q, S, TH, PH)
 
 _COMP_KEYS = ("00", "01", "02", "03", "11", "12", "13", "22", "23", "33")
 _IDX = {(0, 0): "00", (0, 1): "01", (0, 2): "02", (0, 3): "03",
@@ -89,6 +91,14 @@ def _diff_ops(m):
         return sp.diff(e, S) - drdq * sp.diff(e, RR)
 
     return (dq, ds, lambda e: sp.diff(e, TH), lambda e: sp.diff(e, PH))
+
+
+def chart_point(q, s, theta, phi, m):
+    """``(r, q, s, theta, phi)`` as float arrays of one broadcast shape, at least 1-D."""
+    q, s, theta, phi = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (q, s, theta, phi))
+    )
+    return double_null_radius(q, s, m), q, s, theta, phi
 
 
 def compile_fields(args, exprs):
@@ -230,11 +240,11 @@ class MetricEval:
     never reads it never computes it.
     """
 
+    r: np.ndarray
     q: np.ndarray
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    r: np.ndarray
     rows: np.ndarray     # (50, N)
     second: _Evaluator   # the order-2 group, 100 rows
 
@@ -302,18 +312,15 @@ class MetricField:
         order2 = [second[(k, l, key)] for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
         # one CSE over both orders keeps every row bitwise equal to a single
         # compile; the order-2 group is compiled on the first read of d2g
-        self._low, self._high = _compiled((RR, Q, S, TH, PH), (tuple(order1), tuple(order2)))
+        self._low, self._high = _compiled(CHART, (tuple(order1), tuple(order2)))
         self._low.compile()
 
     def radius(self, q, s):
         return double_null_radius(q, s, self.m)
 
     def at(self, q, s, theta, phi) -> MetricEval:
-        q, s, theta, phi = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (q, s, theta, phi))
-        )
-        r = np.atleast_1d(self.radius(q, s))
-        return MetricEval(q, s, theta, phi, r, self._low.rows(r, q, s, theta, phi), self._high)
+        point = chart_point(q, s, theta, phi, self.m)
+        return MetricEval(*point, self._low.rows(*point), self._high)
 
 
 # -- exact closed forms for the unperturbed metric --------------------------

@@ -355,15 +355,15 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     The slots of the 7-component splitting are, in order: qq, qs, qa, ss,
     sa, sph-trace and sph-tracefree.  Entries are scalar fields of
     (q, s, theta, phi); tensorial slots report their theta-theta
-    representative.  Each callable returns the broadcast shape of its point
-    followed by (7, 7).  Stored for inspection and structure tests, not used
-    by the solvers.
+    representative.  Each callable returns a leading point axis (the
+    broadcast shape of its point, at least 1-D) followed by (7, 7).
+    Stored for inspection and structure tests, not used by the solvers.
     """
     # imported here, not at the top: the characteristic solvers load no sympy
     import sympy as sp
 
-    from .compactify import _mass, double_null_radius
-    from .metrics import PH, Q, RR, S, TH, _diff_ops, compile_fields, sphere_raise
+    from .compactify import _mass
+    from .metrics import CHART, _diff_ops, chart_point, compile_fields, sphere_raise
 
     m = _mass(m)
     D = _diff_ops(m)
@@ -391,10 +391,10 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     B[6][0] = 2 * d1(d1(hq["22"]))
 
     def compile_matrix(M):
-        fn = compile_fields((RR, Q, S, TH, PH), [M[i][j] for i in range(7) for j in range(7)])
+        fn = compile_fields(CHART, [M[i][j] for i in range(7) for j in range(7)])
 
         def evaluate(q, s, theta, phi):
-            vals = fn(double_null_radius(q, s, m), q, s, theta, phi)
+            vals = fn(*chart_point(q, s, theta, phi, m))
             return vals.reshape(vals.shape[:-1] + (7, 7))
 
         return evaluate

@@ -14,8 +14,8 @@ from functools import cache, lru_cache
 import numpy as np
 import sympy as sp
 
-from .compactify import _mass, double_null_radius
-from .metrics import (PH, Q, RR, S, TH, MetricEval, MetricField, PerturbationField, _diff_ops,
+from .compactify import _mass
+from .metrics import (CHART, RR, MetricEval, MetricField, PerturbationField, _diff_ops, chart_point,
                       compile_fields, sphere_dot)
 
 
@@ -99,7 +99,7 @@ class OneFormField:
         exprs = [sp.sympify(e) for e in exprs]
         D = _diff_ops(_mass(m))
         flat = exprs + [D[k](e) for k in range(4) for e in exprs]
-        self._fn = compile_fields((RR, Q, S, TH, PH), flat)
+        self._fn = compile_fields(CHART, flat)
 
     def eval(self, ev: MetricEval):
         vals = self._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
@@ -336,10 +336,6 @@ def gauged_residual_11(h: PerturbationField, m, q, s, theta, phi):
     t1 = -2 * RR**2 * D[1](D[0](hq["11"]))
     d1h = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]]).applyfunc(D[1])
     t2 = -sp.Rational(1, 4) * RR * sphere_dot(d1h, d1h)
-    fn = compile_fields((RR, Q, S, TH, PH), [t1, t2])
-    q, s, theta, phi = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q, s, theta, phi))
-    )
-    t = fn(double_null_radius(q, s, m), q, s, theta, phi)
+    t = compile_fields(CHART, [t1, t2])(*chart_point(q, s, theta, phi, m))
     t1, t2 = t[..., 0], t[..., 1]
     return t1 + t2, (t1, t2)

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nullinf import cli
+from nullinf import cli, indexsets as ix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE_HASHES = PERFBENCH / "reference" / "cli_all.sha256.json"
@@ -169,6 +171,24 @@ BAD_VALUES = {
         "config error: geodesics: need s0 * 1e7 - x1bar <= 1.8e154; got s0 = 20.0, x1bar = -1e300\n",
     ("geodesics", "mass = 0.1\nx1bar = -1e154\ns0 = 1e147\n"):
         "config error: geodesics: need s0 * 1e7 - x1bar <= 1.8e154; got s0 = 1e147, x1bar = -1e154\n",
+    ("geodesics", "mass = 0.1\nx1bar = 19.14\n"):
+        "config error: geodesics: need s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0; got s0 = 20.0, x1bar = 19.14, mass = 0.1\n",
+    ("geodesics", "mass = 0\nx1bar = 20\n"):
+        "config error: geodesics: need s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0; got s0 = 20.0, x1bar = 20, mass = 0\n",
+    ("geodesics", "mass = 0.1\nx1bar = 1e300\n"):
+        "config error: geodesics: need s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0; got s0 = 20.0, x1bar = 1e300, mass = 0.1\n",
+    ("geodesics", "mass = 0.4\nx1bar = 14.571164746810188\n"):
+        "config error: geodesics: need s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0; got s0 = 20.0, x1bar = 14.571164746810188, mass = 0.4\n",
+    ("verify-appendix", "mass = 0.1\nrho0 = 501\n"):
+        "config error: verify-appendix: need 2 mass rho0 window_high < 1; got mass = 0.1, rho0 = 501, window_high = 0.01\n",
+    ("verify-appendix", "mass = 0.1\nrho0 = 500\n"):
+        "config error: verify-appendix: need 2 mass rho0 window_high < 1; got mass = 0.1, rho0 = 500, window_high = 0.01\n",
+    ("verify-appendix", "mass = 1e300\n"):
+        "config error: verify-appendix: need 2 mass rho0 window_high < 1; got mass = 1e300, rho0 = 0.1, window_high = 0.01\n",
+    ("verify-appendix", "mass = 0.1\nrho0 = 1e300\n"):
+        "config error: verify-appendix: need 2 mass rho0 window_high < 1; got mass = 0.1, rho0 = 1e300, window_high = 0.01\n",
+    ("model-pde", "forcing_center = 5e-324\n"):
+        "config error: model-pde: need eps / forcing_center <= 1e300; got eps = 0.1, forcing_center = 5e-324\n",
     ("index-sets", "truncation = 1/128\n"):
         "config error: index-sets: need denominator(truncation) <= 64; got truncation = 1/128\n",
     ("index-sets", "truncation = 1e-300\n"):
@@ -228,6 +248,48 @@ def test_every_window_and_relation_has_a_bad_value_row():
     assert relations <= {(name, m.removeprefix("need ").split("; got ")[0]) for name, m in messages}
 
 
+def _edge_texts(key):
+    """Config texts of a key's lowest allowed value, the value just below it, +-1e300 and 1e-300."""
+    if key.read is int:
+        edges = [str(key.low), str(key.low - 1)] if key.low is not None else []
+        return edges + [str(10**300), str(-(10**300)), "1e-300"]
+    if key.read is Fraction:
+        # no smallest rational lies above a strict bound: the lowest allowed is the
+        # smallest power an index set holds
+        edges = [f"1/{ix.MAX_DENOMINATOR}", str(key.low)]
+    elif key.low is None:
+        edges = []
+    else:
+        lowest = float(np.nextafter(key.low, np.inf)) if key.strict else float(key.low)
+        edges = [repr(lowest), repr(float(np.nextafter(lowest, -np.inf)))]
+    return edges + ["1e300", "-1e300", "1e-300"]
+
+
+CONTRACT_CASES = [(name, key, text) for name, schema in cli.SCHEMAS.items()
+                  for key, rule in schema.items() for text in _edge_texts(rule)]
+
+
+@pytest.mark.parametrize("subcommand, key, text", CONTRACT_CASES,
+                         ids=[f"{name}-{key}={text[:12]}" for name, key, text in CONTRACT_CASES])
+def test_every_key_keeps_the_exit_code_contract(tmp_path, capsys, subcommand, key, text):
+    # required keys other than the one under test get a value inside every window
+    raw = {k: "0.1" for k, rule in cli.SCHEMAS[subcommand].items() if rule.default is None}
+    raw[key] = text
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "out"
+    # a warning becomes an exception, and any exception that leaves cli.run is a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(subcommand, cfg, out)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        return
+    assert code in (0, 1) and err == ""
+    # an admitted value is inside the range every solver handles
+    assert "solver-error" not in (out / f"report_{subcommand}.csv").read_text()
+
+
 @pytest.mark.parametrize("first, second", [("bondi.mass = 0.3", "mass = 0.1"), ("mass = 0.1", "bondi.mass = 0.3")])
 def test_prefixed_key_wins_over_bare_key(tmp_path, first, second):
     sliced = cli._slice_config(cli.parse_config(write_config(tmp_path, f"{first}\n{second}\n")))
@@ -244,9 +306,13 @@ def test_defaults_lie_in_their_windows_and_relations(subcommand):
     assert cli.resolve_options(subcommand, {k: str(v) for k, v in defaults.items()}) == defaults
 
 
-def test_solver_error_is_a_failing_report_row(tmp_path, capsys):
-    # x1bar = 1e9 sends the tortoise inversion outside r > 2m
-    cfg = write_config(tmp_path, "mass = 0.1\nx1bar = 1e9\n")
+def test_solver_error_is_a_failing_report_row(tmp_path, capsys, monkeypatch):
+    # the relations keep every admitted x1bar outside the horizon, so the solver is handed
+    # x1bar = 1e9, which sends the tortoise inversion outside r > 2m
+    solve = cli.integrate_radial_null_geodesic
+    monkeypatch.setattr(cli, "integrate_radial_null_geodesic",
+                        lambda metric, x1bar, angles, s0: solve(metric, 1e9, angles, s0=s0))
+    cfg = write_config(tmp_path, "mass = 0.1\n")
     out = tmp_path / "out"
     assert cli.run("geodesics", cfg, out) == 1
     captured = capsys.readouterr()
@@ -329,6 +395,9 @@ def test_model_pde_without_fitted_exponent_is_a_failing_row(tmp_path, capsys, te
     ("geodesics", "mass = 0.1\ntheta = 1e-300\n"),
     ("geodesics", "mass = 0.1\nx1bar = -1.8e154\n"),
     ("geodesics", "mass = 2e145\nx1bar = -8e153\ns0 = 1e147\n"),
+    ("geodesics", "mass = 0.4\nx1bar = 14.571164746810187\n"),
+    ("geodesics", "mass = 100\nx1bar = 953584.1106638722\ns0 = 1e6\n"),
+    ("geodesics", "mass = 0\nx1bar = 19.99999998\n"),
 ])
 def test_amplitude_at_its_bound_runs_without_runtime_warnings(tmp_path, capsys, subcommand, text):
     # any warning, such as the geodesics tail-truncation warning, would reach stderr outside pytest
@@ -392,13 +461,13 @@ LIST_CHECKS = (
     "index-sets: config keys: truncation (> 0)\n"
     "index-sets: relations: truncation <= 12; denominator(truncation) <= 64\n"
     "model-pde: config keys: gamma (>= 0), ell (>= 0), eps (> 0), rho_min (>= 1e-08), points_per_decade (>= 16), forcing_amplitude, forcing_center (> 0), exponent_rel_tol (>= 0)\n"
-    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6; ell <= 1e154\n"
+    "model-pde: relations: rho_min < eps; abs(forcing_amplitude) <= 1e150; cells(eps, rho_min, points_per_decade) <= 1.1e6; ell <= 1e154; eps / forcing_center <= 1e300\n"
     "geodesics: config keys: mass (required, >= 0), x1bar, theta, phi, s0 (> 0), null_norm_tol (>= 0), component_drift_tol (>= 0)\n"
-    "geodesics: relations: s0 <= 1e147; s0 * 1e7 - x1bar <= 1.8e154; mass <= 0.02 s0; 0 < theta < pi\n"
+    "geodesics: relations: s0 <= 1e147; s0 * 1e7 - x1bar <= 1.8e154; mass <= 0.02 s0; 0 < theta < pi; s0 - x1bar >= (mass s0^2)^(1/3) + 1e-9 s0\n"
     "bondi: config keys: mass (required, >= 0), news_amplitude, news_center, news_width (> 0), u_start, u_end, u_samples (>= 2), quad_theta (>= 1), quad_phi (>= 1), budget_tol (>= 0)\n"
     "bondi: relations: u_start < u_end; u_start <= news_center - 10 news_width and news_center + 10 news_width <= u_end; (u_end - u_start) / (u_samples - 1) <= news_width; news_amplitude**2 * max(news_width, 1) <= 1e300; u_samples * quad_theta * quad_phi <= 2e7\n"
     "verify-appendix: config keys: mass (required, >= 0), rho0 (> 0), window_low (> 0), window_high (> 0), slack (>= 0)\n"
-    "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60"
+    "verify-appendix: relations: window_low < window_high; window_high < 1; rho0 * window_low >= 1e-60; 2 mass rho0 window_high < 1"
 )
 
 

@@ -128,46 +128,42 @@ def test_inverse_tortoise_is_pinned_from_each_horizon_floor_to_1e300():
 
 
 def test_chart_transition_values():
-    rho, v, omega = cp.chart_transition_temporal_to_nullcone(0.01, (0.2, 0.0, 0.0))
-    assert rho == pytest.approx(0.05, abs=1e-15)
-    assert v == pytest.approx(4.0, abs=1e-15)
-    assert np.allclose(omega, (1.0, 0.0, 0.0))
+    p = cp.to_nullcone(cp.TemporalPoint(0.0, (0.12, 0.16, 0.0)))
+    assert p.rho == 0.0 and p.v == pytest.approx(4.0, abs=1e-15)
+    assert np.allclose(p.omega, (0.6, 0.8, 0.0))
 
-    X = np.array([0.6, 0.8, 0.0])
-    rho, v, omega = cp.chart_transition_temporal_to_nullcone(0.0, X)
-    assert rho == 0.0 and v == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(omega, X)
-
-    with pytest.raises(ValueError):
-        cp.chart_transition_temporal_to_nullcone(0.1, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="singular at X = 0"):
+        cp.to_nullcone(cp.TemporalPoint(0.01, (0.0, 0.0, 0.0)))
 
     # the inverse transition is singular at v = -1 and has no image below it,
     # though NullConePoint admits v in (-7/4, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular at v = -1.0"):
         cp.to_temporal(cp.NullConePoint(0.01, -1.0, (0.0, 0.0, 1.0)))
-    with pytest.raises(ValueError):
-        cp.chart_transition_nullcone_to_temporal(0.01, -1.5, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="singular at v = -1.5"):
+        cp.to_temporal(cp.NullConePoint(0.01, -1.5, (0.0, 0.0, 1.0)))
 
 
 @given(
-    st.floats(min_value=0.0, max_value=0.09),
-    st.floats(min_value=-0.2, max_value=0.2),
-    st.floats(min_value=-0.2, max_value=0.2),
-    st.floats(min_value=0.05, max_value=0.24),
+    st.floats(min_value=0.1667, max_value=0.2499),
+    st.floats(min_value=0.0, max_value=0.0999),
+    st.floats(min_value=0.0, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=2.0 * np.pi),
 )
 @settings(max_examples=100)
-def test_chart_transition_round_trip(rp, x1, x2, x3):
-    X = np.array([x1, x2, x3 + 0.25])  # keep |X| away from 0
-    rho, v, omega = cp.chart_transition_temporal_to_nullcone(rp, X)
-    rp2, X2 = cp.chart_transition_nullcone_to_temporal(rho, v, omega)
-    assert abs(rp2 - rp) < 1e-14
-    assert np.max(np.abs(X2 - X)) < 1e-14
+def test_chart_transition_round_trip(aX, frac, theta, phi):
+    # points of the chart overlap: |X| in (1/6, 1/4) keeps v = 1/|X| - 1 below 5,
+    # and rho_+ < |X|/10 keeps rho = rho_+/|X| below EPSILON0 (with a margin for rounding)
+    X = aX * np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    rp = frac * aX
+    p = cp.TemporalPoint(rp, tuple(X))
+    back = cp.to_temporal(cp.to_nullcone(p))
+    assert abs(back.rho_plus - rp) < 1e-14
+    assert np.max(np.abs(np.subtract(back.X, X))) < 1e-14
 
 
 def test_boundary_defining_past_corner():
-    p = cp.DoubleNullPoint(q=100.0, s=-100.0)  # t = 0, r_* = 100
     m = 0.25
-    bt = cp.boundary_defining(p, m)
+    bt = cp.boundary_defining(100.0, -100.0, m)  # t = 0, r_* = 100
     r = cp.inverse_tortoise(100.0, m)
     assert bt.region == "past"
     assert bt.rho0 == pytest.approx(0.01, abs=1e-15)
@@ -175,8 +171,7 @@ def test_boundary_defining_past_corner():
 
 
 def test_boundary_defining_future_corner_flat():
-    p = cp.DoubleNullPoint(q=300.0, s=100.0)  # t = 200, r_* = 100, m = 0
-    bt = cp.boundary_defining(p, 0.0)
+    bt = cp.boundary_defining(300.0, 100.0, 0.0)  # t = 200, r_* = 100, m = 0
     assert bt.region == "future"
     assert bt.rhoI == pytest.approx(1.0, abs=1e-14)
     assert bt.rho_plus == pytest.approx(0.01, abs=1e-15)
@@ -188,8 +183,7 @@ def test_boundary_defining_product_identity():
         m = rng.uniform(0.0, 0.4)
         rstar = rng.uniform(10.0, 1e4)
         t = rng.uniform(-rstar, rstar - 1.0)
-        p = cp.DoubleNullPoint(q=t + rstar, s=t - rstar)
-        bt = cp.boundary_defining(p, m)
+        bt = cp.boundary_defining(t + rstar, t - rstar, m)
         r = cp.inverse_tortoise(rstar, m)
         assert abs(bt.rho0 * bt.rhoI - 1.0 / r) < 1e-14 * (1.0 / r) + 1e-300
     # future-corner identity
@@ -197,15 +191,14 @@ def test_boundary_defining_product_identity():
         m = rng.uniform(0.0, 0.4)
         rstar = rng.uniform(10.0, 1e4)
         t = rng.uniform(rstar + 1.0, 3.0 * rstar)
-        p = cp.DoubleNullPoint(q=t + rstar, s=t - rstar)
-        bt = cp.boundary_defining(p, m)
+        bt = cp.boundary_defining(t + rstar, t - rstar, m)
         r = cp.inverse_tortoise(rstar, m)
         assert abs(bt.rhoI * bt.rho_plus - 1.0 / r) < 1e-14 * (1.0 / r)
 
 
 def test_boundary_defining_cone_error():
     with pytest.raises(ValueError):
-        cp.boundary_defining(cp.DoubleNullPoint(q=100.0, s=0.0), 0.1)
+        cp.boundary_defining(100.0, 0.0, 0.1)
 
 
 def test_null_frame_rows():

@@ -31,7 +31,7 @@ MASS_ENTRIES = {
     "tortoise": lambda m: cf.tortoise(None, m),
     "inverse-tortoise": lambda m: cf.inverse_tortoise(None, m),
     "double-null-radius": lambda m: cf.double_null_radius(0.0, 0.0, m),
-    "boundary-defining": lambda m: cf.boundary_defining(None, m),
+    "boundary-defining": lambda m: cf.boundary_defining(None, None, m),
     "null-frame": lambda m: cf.null_frame_coefficients(cf.BoundaryTriple(0.1, 0.1, 0.0, "past"), m),
     "scaled-time": lambda m: cf.scaled_time_fixed_point(None, m, None),
     "metric-field": lambda m: metrics.MetricField(m),
@@ -162,7 +162,7 @@ def test_retarded_time_shooting_that_oscillates(monkeypatch):
 def test_point_inside_the_horizon(monkeypatch):
     monkeypatch.setattr(cf, "inverse_tortoise", lambda rstar, m: 2.0 * m)
     with pytest.raises(ValueError, match="point inside the excluded horizon region"):
-        cf.boundary_defining(cf.DoubleNullPoint(10.0, -30.0), 0.1)
+        cf.boundary_defining(10.0, -30.0, 0.1)
 
 
 def test_degenerate_area_determinant(monkeypatch):

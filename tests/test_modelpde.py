@@ -505,8 +505,8 @@ def test_full_coupling_matrices_structure():
     h = manufactured_suite()[5]
     g1, g2 = 0.45, 0.4
     A_fn, B_fn = mp.full_coupling_matrices(h, 0.2, g1, g2)
-    A = A_fn(400.0, -20.0, 1.1, 0.3)
-    B = B_fn(400.0, -20.0, 1.1, 0.3)
+    A = A_fn(400.0, -20.0, 1.1, 0.3)[0]
+    B = B_fn(400.0, -20.0, 1.1, 0.3)[0]
     # the gauge-driven block decouples: rows of PI0 slots have support on PI0 slots
     idx0 = list(mp.PI0_SLOTS)
     others = [i for i in range(7) if i not in idx0]
@@ -529,4 +529,5 @@ def test_full_coupling_matrices_evaluate_a_batch_of_points():
     for fn in fns:
         batch = fn(q, s, theta, phi)
         assert batch.shape == (3, 7, 7)
-        assert np.array_equal(batch, np.stack([fn(*point) for point in zip(q, s, theta, phi)]))
+        assert fn(q[0], s[0], theta[0], phi[0]).shape == (1, 7, 7)
+        assert np.array_equal(batch, np.concatenate([fn(*point) for point in zip(q, s, theta, phi)]))
