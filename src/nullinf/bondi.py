@@ -310,7 +310,9 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     fixed by the angular and long-direction gauge relations (including the
     quadratic term), so cut geometry reproduces the boundary mass formulas.
     ``profile`` is a sympy expression in the spatial-face defining function;
-    ``mode`` is one of ``HARMONIC_MODES``.
+    ``mode`` is one of ``HARMONIC_MODES``.  ``with_log=c`` adds c (1 + cos^2 theta)
+    log rhoI to the long component and returns that coefficient; the term is not
+    admissible alone: the Hawking mass of the cuts grows like m + (c <1 + cos^2 theta> / 2) ln(r/|u|).
     """
     ang = _angular(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
@@ -346,21 +348,20 @@ class NewsTensor:
         for E in mats:
             if sp.simplify(sphere_trace(E)) != 0:
                 raise ValueError("news angular part is not trace-free")
-        pairs = [sphere_dot(Ek, El) for Ek in mats for El in mats]
-        # angular columns: Ek.El for every pair (k, l), row-major in k
-        self._pairs = compile_fields((TH, PH), pairs)
-        self._divdiv = compile_fields((TH, PH), [_double_divergence(E) for E in mats])
+        # the angular factors Ek.El of every pair (k, l), and the double divergence of each Ek
+        self._pairs = compile_fields((TH, PH), [sp.Matrix([[sphere_dot(Ek, El) for El in mats] for Ek in mats])])
+        self._divdiv = compile_fields((TH, PH), [sp.Array([_double_divergence(E) for E in mats])])
 
     def squared_norm(self, u, theta, phi):
         """|N|^2 with round-metric contractions, on (u-grid) x (angular nodes)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         amps = [np.asarray(p(u), dtype=float) for p, _ in self.modes]
         n = len(self.modes)
-        ang = self._pairs(theta, phi)
+        ang = self._pairs(theta, phi)[0]
         out = np.zeros((len(u), len(theta)))
         for k in range(n):
             for l in range(n):
-                out += np.outer(amps[k] * amps[l], ang[..., k * n + l])
+                out += np.outer(amps[k] * amps[l], ang[..., k, l])
         return out
 
 
@@ -403,7 +404,7 @@ def evolve_mass_aspect(news: NewsTensor, m, u_grid, quad=(24, 48)) -> BondiRepor
 
     # divergence part of the aspect: -1/4 nabla nabla integral of the news
     aspect = m + mu
-    angs = news._divdiv(th, ph)
+    angs = news._divdiv(th, ph)[0]
     for k, (p, _) in enumerate(news.modes):
         cum = _cumulative_trapezoid(np.asarray(p(u), dtype=float), u)
         aspect = aspect - 0.25 * np.outer(cum, angs[..., k])
@@ -421,13 +422,15 @@ def bondi_mass_from_data(log_coeff, h_sphere, m):
     (its boundary transport value is -1/2 of it), ``h_sphere`` the 2x2
     spherical part; the double-divergence term integrates to zero.  The
     aspect is sampled on the 24 x 48 nodes of ``sphere_quadrature()``.
+    With log coefficient c f the mass is m - c <f> / 2, not the limit of the Hawking
+    mass of the cuts, which in this chart grows like (c <f> / 2) ln(r/|u|) above m.
     """
     m = _mass(m)
     th, ph, w = sphere_quadrature()
-    transport = -0.5 * compile_fields((TH, PH), [sp.sympify(log_coeff)])(th, ph)[:, 0]
+    transport = -0.5 * compile_fields((TH, PH), [sp.sympify(log_coeff)])(th, ph)[0]
     divdiv = np.zeros_like(th)
     if h_sphere is not None:
-        divdiv = compile_fields((TH, PH), [_double_divergence(sp.Matrix(h_sphere))])(th, ph)[:, 0]
+        divdiv = compile_fields((TH, PH), [_double_divergence(sp.Matrix(h_sphere))])(th, ph)[0]
     aspect = m + transport - 0.25 * divdiv
     mass = m + (0.25 / math.pi) * float(np.sum(w * transport))
     div_integral = float(np.sum(w * divdiv))
@@ -460,7 +463,7 @@ def _on_static_chart(expr, R):
         raise ValueError("the static chart needs 0 < R < 1")
     if np.any(R > 1 - 1e-6):
         warnings.warn("evaluating a static solution within 1e-6 of the pole")
-    return compile_fields((_R,), [expr])(R)[..., 0]
+    return compile_fields((_R,), [expr])(R)[0]
 
 
 def scattering_solution(ell, R):

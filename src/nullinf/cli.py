@@ -87,8 +87,8 @@ class RunReport:
 
 def parse_config(path: Path) -> dict:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -199,7 +199,7 @@ def excess_decay_slopes(
     results = []
     for line_id, (line, expr) in lines.items():
         # one compile per line: a shared cse pass over all lines changes the bits
-        lead = compile_fields(CHART, [expr])(r, q, s, th, ph)[:, 0]
+        lead = compile_fields(CHART, [expr])(r, q, s, th, ph)[0]
         num = numeric[line.kind][(slice(None),) + line.index]
         if line.barred:
             num = num / r

@@ -101,16 +101,26 @@ def chart_point(q, s, theta, phi, m):
     return double_null_radius(q, s, m), q, s, theta, phi
 
 
-def compile_fields(args, exprs):
-    """Compile sympy expressions in ``args`` to one vectorized numpy callable.
+def compile_fields(args, items):
+    """Compile sympy scalars, arrays and matrices in ``args`` to one vectorized numpy callable.
 
-    The callable takes one value per symbol, passes them to the compiled
-    code unchanged, and returns a float array of shape ``(..., len(exprs))``
-    over the broadcast shape of its inputs; constant expressions are
-    broadcast to that shape.  Equal argument and expression lists share one
-    compiled function.
+    The callable passes one value per symbol to the compiled code unchanged and
+    returns one C-contiguous float array per item, in order, of shape
+    ``(*broadcast shape of the inputs, *item shape)``, constant entries broadcast.
+    The entries are compiled as one row-major list; equal lists share one function.
     """
-    return _compiled(tuple(args), (tuple(exprs),))[0].compile()
+    # each item as an object array of its entries, a scalar as a 0-d one
+    arrays = [np.array(item.tolist() if isinstance(item, (sp.MatrixBase, sp.NDimArray)) else item, dtype=object)
+              for item in items]
+    rows_of = _compiled(tuple(args), (tuple(e for a in arrays for e in a.flat),))[0].compile().rows
+    offsets = np.cumsum([a.size for a in arrays])[:-1]
+
+    def evaluate(*values):
+        rows = rows_of(*values)
+        return [np.moveaxis(block, 0, -1).reshape(rows.shape[1:] + a.shape).copy()
+                for block, a in zip(np.split(rows, offsets), arrays)]
+
+    return evaluate
 
 
 @lru_cache(maxsize=1024)
@@ -157,10 +167,6 @@ class _Evaluator:
         for i, row in enumerate(self._fn(*values)):
             out[i] = row
         return out
-
-    def __call__(self, *values):
-        """C-contiguous array of shape ``(..., len(exprs))``."""
-        return np.ascontiguousarray(np.moveaxis(self.rows(*values), 0, -1))
 
 
 @dataclass(frozen=True)

@@ -372,31 +372,25 @@ def full_coupling_matrices(h, m, gamma1, gamma2):
     raised_rep = sphere_raise([[hq["22"], hq["23"]], [hq["23"], hq["33"]]])[0, 0]
     vec_rep = sphere_raise([hq["12"], hq["13"]])[0]
 
-    A = [[sp.Integer(0)] * 7 for _ in range(7)]
-    B = [[sp.Integer(0)] * 7 for _ in range(7)]
-    A[0][0] = sp.Float(2 * gamma1)
-    A[1][0] = gamma1 - gamma2 - 2 * d1(hq["01"])
-    A[1][5] = sp.Rational(1, 2) * (gamma1 - gamma2)
-    A[2][2] = sp.Float(gamma1)
-    A[3][0] = -2 * d1(hq["11"])
-    A[3][5] = sp.Float(gamma1)
-    A[3][6] = sp.Rational(1, 2) * d1(raised_rep)
-    A[4][0] = -2 * d1(hq["12"])
-    A[4][2] = gamma1 + d1(vec_rep)
-    A[5][0] = sp.Float(2 * gamma2)
-    A[5][5] = sp.Float(gamma2)
-    B[1][0] = 2 * d1(d1(hq["01"]))
-    B[3][0] = 2 * d1(d1(hq["11"]))
-    B[4][0] = 2 * d1(d1(hq["12"]))
-    B[6][0] = 2 * d1(d1(hq["22"]))
+    A, B = sp.zeros(7, 7), sp.zeros(7, 7)
+    A[0, 0] = sp.Float(2 * gamma1)
+    A[1, 0] = gamma1 - gamma2 - 2 * d1(hq["01"])
+    A[1, 5] = sp.Rational(1, 2) * (gamma1 - gamma2)
+    A[2, 2] = sp.Float(gamma1)
+    A[3, 0] = -2 * d1(hq["11"])
+    A[3, 5] = sp.Float(gamma1)
+    A[3, 6] = sp.Rational(1, 2) * d1(raised_rep)
+    A[4, 0] = -2 * d1(hq["12"])
+    A[4, 2] = gamma1 + d1(vec_rep)
+    A[5, 0] = sp.Float(2 * gamma2)
+    A[5, 5] = sp.Float(gamma2)
+    B[1, 0] = 2 * d1(d1(hq["01"]))
+    B[3, 0] = 2 * d1(d1(hq["11"]))
+    B[4, 0] = 2 * d1(d1(hq["12"]))
+    B[6, 0] = 2 * d1(d1(hq["22"]))
 
     def compile_matrix(M):
-        fn = compile_fields(CHART, [M[i][j] for i in range(7) for j in range(7)])
-
-        def evaluate(q, s, theta, phi):
-            vals = fn(*chart_point(q, s, theta, phi, m))
-            return vals.reshape(vals.shape[:-1] + (7, 7))
-
-        return evaluate
+        fn = compile_fields(CHART, [M])
+        return lambda q, s, theta, phi: fn(*chart_point(q, s, theta, phi, m))[0]
 
     return compile_matrix(A), compile_matrix(B)

@@ -98,14 +98,11 @@ class OneFormField:
     def __init__(self, exprs, m):
         exprs = [sp.sympify(e) for e in exprs]
         D = _diff_ops(_mass(m))
-        flat = exprs + [D[k](e) for k in range(4) for e in exprs]
-        self._fn = compile_fields(CHART, flat)
+        self._fn = compile_fields(CHART, [sp.Array(exprs), sp.Array([[D[k](e) for e in exprs] for k in range(4)])])
 
     def eval(self, ev: MetricEval):
-        vals = self._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
-        omega = vals[..., :4]
-        domega = vals[..., 4:].reshape(vals.shape[:-1] + (4, 4))  # (..., kappa, mu) = d_kappa omega_mu
-        return omega, domega
+        """The pair omega_mu (..., 4) and d_kappa omega_mu (..., 4, 4), indexed (kappa, mu)."""
+        return self._fn(ev.r, ev.q, ev.s, ev.theta, ev.phi)
 
 
 def symmetric_gradient(bg: MetricField, omega: OneFormField, q, s, theta, phi) -> np.ndarray:
@@ -169,22 +166,6 @@ def _lie_inverse(coords, W, G):
     return L
 
 
-def _compile_matrix_and_scalar(params, M, c):
-    """Compile a 4x4 matrix and a scalar on the chart's coordinates and ``params``.
-
-    The callable maps four coordinate arrays and the parameter values to
-    arrays of shape (..., 4, 4) and (...).
-    """
-    fn = compile_fields(ds_static_chart()[0] + params, [M[i, j] for i in range(4) for j in range(4)] + [c])
-
-    def evaluate(x0, x1, x2, x3, *param_values):
-        arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (x0, x1, x2, x3)))
-        vals = fn(*arrs, *param_values)
-        return vals[..., :16].reshape(vals.shape[:-1] + (4, 4)), vals[..., 16]
-
-    return evaluate
-
-
 @cache
 def k_current(W, params=()):
     """Compile K_W = -(L_W G + (div W) G)/2 and div W on the static chart.
@@ -192,15 +173,15 @@ def k_current(W, params=()):
     ``W`` is a tuple of the multiplier's components and ``params`` a tuple
     of the further symbols they hold.  Returns a callable mapping four coordinate
     arrays and the parameter values to the contravariant current (..., 4, 4)
-    and the scalar divergence (standard orientation: the metric divergence
-    of W).
+    and the scalar divergence (...) (standard orientation: the metric
+    divergence of W).
     """
     coords, g, G = ds_static_chart()
     W = [sp.sympify(w) for w in W]
     sqrt_det = sp.sqrt(-g.det())
     div = sum(sp.diff(sqrt_det * W[mu], coords[mu]) for mu in range(4)) / sqrt_det
     K = -(_lie_inverse(coords, W, G) + div * G) / 2
-    return _compile_matrix_and_scalar(params, K, div)
+    return compile_fields(coords + params, [K, div])
 
 
 # the temporal-face weight exponent a_+ of the multiplier, the symbol of its
@@ -234,8 +215,8 @@ def multiplier_features(aI, R):
     weight rhoI^(2 aI) rho_+^(2 a+) and the sign convention of the negative
     divergence.
     """
-    Kv, div = k_current(temporal_multiplier(), (_A_I,))(_RHO_PLUS, R, _THETA, 0.0, aI)
     R = np.atleast_1d(np.asarray(R, dtype=float))
+    Kv, div = k_current(temporal_multiplier(), (_A_I,))(*np.broadcast_arrays(_RHO_PLUS, R, _THETA, 0.0), aI)
     rhoI = 1.0 - R**2
     s1 = rhoI ** (2 * aI + 1) * _RHO_PLUS ** (2 * _A_PLUS)
     k00 = s1 * Kv[..., 0, 0] / _RHO_PLUS**2
@@ -272,9 +253,12 @@ def product_rule_residual(V, f, points, params=(), param_values=()):
     V = tuple(sp.sympify(v) for v in V)
     f = sp.sympify(f)
     params = tuple(params)
+    # float arrays, so a scalar point is evaluated as a batch of one, bit for bit
+    points = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in points))
     K1, _ = k_current(tuple(f * v for v in V), params)(*points, *param_values)
     K2, _ = k_current(V, params)(*points, *param_values)
-    Tv, fv = _compile_matrix_and_scalar(params, energy_momentum(gradient_vector(f), V), f)(*points, *param_values)
+    T = energy_momentum(gradient_vector(f), V)
+    Tv, fv = compile_fields(ds_static_chart()[0] + params, [T, f])(*points, *param_values)
     resid = K1 - Tv - fv[..., None, None] * K2
     return float(np.max(np.abs(resid)))
 
@@ -336,6 +320,5 @@ def gauged_residual_11(h: PerturbationField, m, q, s, theta, phi):
     t1 = -2 * RR**2 * D[1](D[0](hq["11"]))
     d1h = sp.Matrix([[hq["22"], hq["23"]], [hq["23"], hq["33"]]]).applyfunc(D[1])
     t2 = -sp.Rational(1, 4) * RR * sphere_dot(d1h, d1h)
-    t = compile_fields(CHART, [t1, t2])(*chart_point(q, s, theta, phi, m))
-    t1, t2 = t[..., 0], t[..., 1]
+    t1, t2 = compile_fields(CHART, [t1, t2])(*chart_point(q, s, theta, phi, m))
     return t1 + t2, (t1, t2)

@@ -187,6 +187,25 @@ def test_hawking_approaches_bondi(news_metric, news_congruence):
     assert slope <= -(0.3 - 0.1)
 
 
+def test_log_term_grows_the_hawking_mass_and_bondi_mass_from_data_reads_its_coefficient():
+    # h11 carrying c (1 + cos^2 theta) log rhoI: the Hawking mass of the cuts grows like
+    # (c <1 + cos^2 theta> / 2) ln(r / |u|) above m, to O(1/r), while bondi_mass_from_data
+    # returns m - c <1 + cos^2 theta> / 2; in this chart the two routes differ
+    h, c = bd.news_compatible_field(0.1, 1 / (1 + 5 * RHO0), with_log=0.03)
+    g = MetricField(M, h)
+    th, ph, w = bd.sphere_quadrature(4, 6)
+    slope = 0.03 * (4 / 3) / 2
+    assert bd.bondi_mass_from_data(c, None, M)[1] == pytest.approx(M - slope, abs=1e-15)
+    radii = np.array([100.0, 300.0, 1000.0])
+    # the residual times r / 100, measured when this law was first pinned
+    for u, scaled_residual in ((-20.0, -2.292e-5), (-40.0, -2.830e-5)):
+        con = bd.Congruence(g, u, th, ph, s0=20.0)
+        mh = np.array([bd.hawking_mass_of_cut(con.cut(r), w) for r in radii])
+        scaled = (mh - M - slope * np.log(radii / -u)) * radii / 100.0
+        assert np.ptp(scaled) <= 2.5e-4 * abs(scaled_residual)
+        assert scaled == pytest.approx(scaled_residual, rel=1e-3)
+
+
 # -- news evolution ---------------------------------------------------------------
 
 
@@ -309,7 +328,7 @@ def test_double_divergence_of_tensor_harmonic_closed_form(ell, em):
     th, ph, _ = bd.sphere_quadrature(16, 24)
     divdiv, y = compile_fields(
         (TH, PH), [bd._double_divergence(bd.tensor_harmonic(ell, em)), bd.real_spherical_harmonic(ell, em)]
-    )(th, ph).T
+    )(th, ph)
     assert np.max(np.abs(divdiv - (big_l**2 / 2 - big_l) * y)) < 1e-12
 
 

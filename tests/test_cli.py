@@ -53,9 +53,16 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "wrong_key" in capsys.readouterr().err
 
 
-def test_unreadable_config_exits_2(tmp_path):
+def test_unreadable_config_exits_2(tmp_path, capsys):
     code = cli.run("geodesics", tmp_path / "nope.cfg", tmp_path / "out")
     assert code == 2
+    # a config that is not UTF-8 is unreadable too: one line, no traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"mass = 0.1\n\xff\xfe = 1\n")
+    capsys.readouterr()
+    assert cli.run("geodesics", bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {bad}: ") and err.count("\n") == 1
 
 
 #: an integer too large for a float

@@ -502,7 +502,7 @@ def single_compile_columns(mf, r, q, s, th, ph):
     exprs = [g[key] for key in _COMP_KEYS]
     exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
     exprs += [D[l](first[(k, key)]) for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
-    return compile_fields((RR, Q, S, TH, PH), exprs)(r, q, s, th, ph)
+    return np.stack(compile_fields((RR, Q, S, TH, PH), exprs)(r, q, s, th, ph), axis=-1)
 
 
 def perturbation_for(label):
@@ -561,18 +561,35 @@ def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
     assert compiled == [50, 100]
 
 
-def test_compile_fields_shape_constants_and_memo():
+def test_compile_fields_shape_constants_and_memo(monkeypatch):
     x, y = sp.symbols("x y")
-    exprs = [x * sp.exp(y) + sp.sin(x) ** 2, sp.Integer(0), sp.Rational(3, 2), sp.cos(y)]
+    items = [x * sp.exp(y) + sp.sin(x) ** 2, sp.Array([sp.Rational(3, 2), sp.cos(y)]),
+             sp.Matrix([[x, 1], [x * y, sp.Integer(0)]]), sp.Integer(0)]
     xs = np.linspace(0.1, 2.0, 7)
-    out = compile_fields((x, y), exprs)(xs, 0.4)
-    assert out.shape == (7, 4)
-    assert np.all(out[:, 1] == 0.0) and np.all(out[:, 2] == 1.5)
-    direct = sp.lambdify((x, y), exprs, modules="numpy", cse=True)(xs, 0.4)
+    out = compile_fields((x, y), items)(xs, 0.4)
+    # each item in its own shape, in input order, after the broadcast shape of the inputs
+    assert [a.shape for a in out] == [(7,), (7, 2), (7, 2, 2), (7,)]
+    assert all(a.dtype == float and a.flags.c_contiguous for a in out)
+    # constant entries are broadcast
+    assert np.all(out[1][:, 0] == 1.5) and np.all(out[2][:, 0, 1] == 1.0) and np.all(out[3] == 0.0)
+    entries = [items[0], *items[1], *items[2], items[3]]
+    direct = sp.lambdify((x, y), entries, modules="numpy", cse=True)(xs, 0.4)
+    columns = np.concatenate([a.reshape(7, -1) for a in out], axis=1)
     for i, col in enumerate(direct):
-        assert np.array_equal(out[:, i], np.broadcast_to(col, xs.shape))
-    rebuilt = [x * sp.exp(y) + sp.sin(x) ** 2, 0, sp.Rational(3, 2), sp.cos(y)]
-    assert compile_fields([x, y], rebuilt) is compile_fields((x, y), exprs)
+        assert np.array_equal(columns[:, i], np.broadcast_to(col, xs.shape))
+    # scalar inputs give 0-d items
+    point = compile_fields((x, y), items)(0.3, 0.4)
+    assert [a.shape for a in point] == [(), (2,), (2, 2), ()]
+    assert float(point[0]) == pytest.approx(0.3 * math.exp(0.4) + math.sin(0.3) ** 2, rel=1e-15)
+    # equal arguments share one compiled function: a second call makes no new lambdify
+    calls = []
+    lambdify = sp.lambdify
+    monkeypatch.setattr(metrics.sp, "lambdify", lambda *a, **kw: calls.append(a) or lambdify(*a, **kw))
+    rebuilt = [x * sp.exp(y) + sp.sin(x) ** 2, sp.Array([sp.Rational(3, 2), sp.cos(y)]),
+               sp.Matrix([[x, 1], [x * y, 0]]), 0]
+    again = compile_fields([x, y], rebuilt)(xs, 0.4)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(again, out))
 
 
 def test_lambdify_called_only_inside_compile_fields():
