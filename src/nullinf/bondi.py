@@ -312,7 +312,11 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     ``profile`` is a sympy expression in the spatial-face defining function;
     ``mode`` is one of ``HARMONIC_MODES``.  ``with_log=c`` adds c (1 + cos^2 theta)
     log rhoI to the long component and returns that coefficient; the term is not
-    admissible alone: the Hawking mass of the cuts grows like m + (c <1 + cos^2 theta> / 2) ln(r/|u|).
+    admissible alone.  In this chart the Hawking mass of the cuts is then
+    m + (m - M_B) ln(r/|u|) + O(1/r), with M_B = m - c <1 + cos^2 theta> / 2 from
+    ``bondi_mass_from_data``.  The same law holds for a log coefficient that the
+    news drives, d_u c = |d_u h_AB|^2 / 4, with the M_B(u) of ``evolve_mass_aspect``:
+    the Bondi mass loss is the coefficient of the log.
     """
     ang = _angular(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
@@ -422,8 +426,9 @@ def bondi_mass_from_data(log_coeff, h_sphere, m):
     (its boundary transport value is -1/2 of it), ``h_sphere`` the 2x2
     spherical part; the double-divergence term integrates to zero.  The
     aspect is sampled on the 24 x 48 nodes of ``sphere_quadrature()``.
-    With log coefficient c f the mass is m - c <f> / 2, not the limit of the Hawking
-    mass of the cuts, which in this chart grows like (c <f> / 2) ln(r/|u|) above m.
+    With log coefficient c f the mass is M_B = m - c <f> / 2.  In this chart the
+    Hawking mass of the cuts does not tend to M_B: it is m + (m - M_B) ln(r/|u|) + O(1/r),
+    so the mass loss m - M_B is the coefficient of its log.
     """
     m = _mass(m)
     th, ph, w = sphere_quadrature()

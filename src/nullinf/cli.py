@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -443,30 +445,47 @@ def run_bondi(opts, outdir: Path) -> RunReport:
     return report
 
 
+def check_field(index, opts):
+    """The label and the line checks of field ``index`` of ``manufactured_suite()``.
+
+    ``opts`` are the resolved verify-appendix options.  Each field is one task
+    of ``run_verify_appendix``'s worker pool, so this runs in a worker process.
+    """
+    h = manufactured_suite()[index]
+    checks = excess_decay_slopes(
+        h,
+        opts["mass"],
+        rho0=opts["rho0"],
+        window=(opts["window_low"], opts["window_high"]),
+        slack=opts["slack"],
+    )
+    return h.label, checks
+
+
 def run_verify_appendix(opts, outdir: Path) -> RunReport:
     report = RunReport("verify-appendix")
-    m = opts["mass"]
+    count = len(manufactured_suite())
+    # the CPUs this process may use; sched_getaffinity exists on Linux only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # forked workers (the default on Linux) start with sympy and nullinf imported
+    with ProcessPoolExecutor(min(count, cpus)) as pool:
+        # the fields late in the suite cost the most: submit them first
+        futures = [pool.submit(check_field, i, opts) for i in reversed(range(count))]
+        fields = [f.result() for f in reversed(futures)]
     rows = []
-    for h in manufactured_suite():
-        results = excess_decay_slopes(
-            h,
-            m,
-            rho0=opts["rho0"],
-            window=(opts["window_low"], opts["window_high"]),
-            slack=opts["slack"],
-        )
-        for c in results:
+    for label, checks in fields:
+        for c in checks:
             rows.append(
                 (
                     c.line_id,
-                    h.label,
+                    label,
                     c.max_abs_diff,
                     c.leading_scale,
                     c.slope if math.isfinite(c.slope) else 99.0,
                     "pass" if c.passed else "fail",
                 )
             )
-            report.add(f"{h.label}/{c.line_id}", 0.0, 0.0 if c.passed else max(c.required - c.slope, 1.0), 0.0)
+            report.add(f"{label}/{c.line_id}", 0.0, 0.0 if c.passed else max(c.required - c.slope, 1.0), 0.0)
     emit_csv(
         ("line_id", "point", "numeric", "leading_formula", "fitted_excess_decay", "pass"),
         rows,

@@ -206,6 +206,52 @@ def test_log_term_grows_the_hawking_mass_and_bondi_mass_from_data_reads_its_coef
         assert scaled == pytest.approx(scaled_residual, rel=1e-3)
 
 
+def test_log_coefficient_of_the_hawking_mass_is_the_bondi_mass_loss():
+    # h_AB = A(rho0) E and h_11 carries c log rhoI with d_u c = (1/4)|d_u (A E)|^2, the
+    # coefficient of test_flux_coefficient_from_the_gauged_field_equation: in this chart
+    # m_H(r, u) = m + (m - M_B(u)) ln(r/|u|) + O(1/r), M_B from the news by evolve_mass_aspect
+    sigma = sp.Symbol("sigma", positive=True)
+    A = 1 / (10 * (1 + 5 * RHO0))
+    E = bd.tensor_harmonic(2, 0)
+    c = sp.Rational(1, 4) * sphere_dot(E, E) * sp.integrate((sp.diff(A, RHO0).subs(RHO0, sigma) * sigma) ** 2,
+                                                            (sigma, 0, RHO0))
+    h, _ = bd.news_compatible_field(1, A)
+
+    # the news rho0^2 A'(rho0) at rho0 = -1/u, from u = -2560 on a grid through u = -40 and -10
+    def news_profile(u):
+        rho0 = -1.0 / np.asarray(u, dtype=float)
+        return -0.5 * (rho0 / (1.0 + 5.0 * rho0)) ** 2
+
+    ug = -np.geomspace(2560.0, 10.0, 4097)
+    rep = bd.evolve_mass_aspect(bd.NewsTensor([(news_profile, E)], (ug[0], ug[-1])), M, ug, quad=(4, 6))
+    th, ph, w = bd.sphere_quadrature(4, 6)
+    radii = np.geomspace(100.0, 3000.0, 6)
+
+    def gaps(scale, u):
+        """|beta / (m - M_B(u)) - 1| and |a - m| of the fits a + beta ln(r/|u|) + sum_(k <= K) d_k / r^k, K = 0, 1, 2."""
+        comps = dict(h.comps, **{"11": h.comps["11"] + scale * c * sp.log(RHOI)})
+        con = bd.Congruence(MetricField(M, PerturbationField(comps, h.weights)), u, th, ph, s0=20.0)
+        mh = np.array([bd.hawking_mass_of_cut(con.cut(r), w) for r in radii])
+        loss = M - np.interp(u, ug, rep.mass)
+        out = []
+        for K in range(3):
+            X = np.stack([np.ones_like(radii), np.log(radii / -u)] + [radii**-k for k in range(1, K + 1)], axis=1)
+            a, beta = np.linalg.lstsq(X, mh, rcond=None)[0][:2]
+            out.append((abs(beta / loss - 1.0), abs(a - M)))
+        return out
+
+    # measured gaps of the K = 2 fit: 1.5e-4 at u = -40, 1.3e-5 at u = -10
+    tol = 1e-3
+    for u in (-40.0, -10.0):
+        fits = gaps(1.0, u)
+        beta_gaps = [g for g, _ in fits]
+        assert beta_gaps[0] > beta_gaps[1] > beta_gaps[2]
+        assert beta_gaps[2] < tol and fits[2][1] < 1e-9
+    # a flux coefficient 1% off moves the log coefficient 1% off the mass loss
+    for scale in (0.99, 1.01):
+        assert gaps(scale, -10.0)[2][0] > 5 * tol
+
+
 # -- news evolution ---------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullinf import cli, indexsets as ix
+from nullinf import cli, indexsets as ix, metrics
+from nullinf.leading_terms import LineCheck, excess_decay_slopes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE_HASHES = PERFBENCH / "reference" / "cli_all.sha256.json"
@@ -328,6 +330,85 @@ def test_solver_error_is_a_failing_report_row(tmp_path, capsys, monkeypatch):
     rows = (out / "report_geodesics.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("solver-error,none,ValueError: tortoise")
     assert rows[1].endswith(",fail")
+
+
+def _fail_in_worker(how):
+    """A stand-in for ``excess_decay_slopes`` that fails on the first field of the suite and checks no line of the others."""
+    def slopes(h, m, **kwargs):
+        if h.label == metrics.manufactured_suite()[0].label:
+            how()
+        return []
+    return slopes
+
+
+def _raise_value_error():
+    raise ValueError("no decay, in a worker")
+
+
+@pytest.mark.parametrize("how, message", [
+    (_raise_value_error, "ValueError: no decay; in a worker"),
+    (lambda: os._exit(3), "BrokenProcessPool: A process in the process pool was terminated abruptly"
+                          " while the future was running or pending."),
+], ids=["value-error", "os-exit"])
+def test_failed_worker_is_a_solver_error_row(tmp_path, capsys, monkeypatch, how, message):
+    """A worker that raises, or dies, fails the run with one solver-error row and leaves no child behind.
+
+    The stand-in reaches the workers because they are forked from this process,
+    monkeypatch included.
+    """
+    monkeypatch.setattr(cli, "excess_decay_slopes", _fail_in_worker(how))
+    out = tmp_path / "out"
+    assert cli.run("verify-appendix", write_config(tmp_path, "mass = 0.1\n"), out) == 1
+    assert capsys.readouterr().err == ""
+    rows = (out / "report_verify-appendix.csv").read_text().splitlines()
+    assert rows[1:] == [f"solver-error,none,{message},0,fail"]
+    assert not (out / "appendix_lines.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_fields_run_in_one_worker_per_usable_cpu(tmp_path, monkeypatch):
+    """Each field runs in a worker process, and a single usable CPU gives a single worker.
+
+    The stand-in that reports its process id reaches the workers because they are
+    forked from this process, monkeypatch included.
+    """
+    def slopes(h, m, **kwargs):
+        return [LineCheck(str(os.getpid()), 1.0, 0.0, True, 0.0, 0.0)]
+
+    def workers(out):
+        rows = (out / "appendix_lines.csv").read_text().splitlines()[1:]
+        return {int(row.split(",")[0]) for row in rows}
+
+    monkeypatch.setattr(cli, "excess_decay_slopes", slopes)
+    cfg = write_config(tmp_path, "mass = 0.1\n")
+    assert cli.run("verify-appendix", cfg, tmp_path / "many") == 0
+    pids = workers(tmp_path / "many")
+    assert os.getpid() not in pids and 1 <= len(pids) <= min(6, len(os.sched_getaffinity(0)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.run("verify-appendix", cfg, tmp_path / "one") == 0
+    assert len(workers(tmp_path / "one")) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mass", ["0.1", "0.05"])
+def test_verify_appendix_equals_the_serial_composition(tmp_path, mass):
+    """The runner's outputs equal, byte for byte, a serial composition of the line checks in suite order.
+
+    At mass 0.05 one line fails, so the failing report row is compared too.
+    """
+    opts = cli.resolve_options("verify-appendix", {"mass": mass})
+    report = cli.run_verify_appendix(opts, tmp_path)
+    rows, want = [], cli.RunReport("verify-appendix")
+    for h in metrics.manufactured_suite():
+        for c in excess_decay_slopes(h, opts["mass"], rho0=opts["rho0"],
+                                     window=(opts["window_low"], opts["window_high"]), slack=opts["slack"]):
+            rows.append((c.line_id, h.label, c.max_abs_diff, c.leading_scale,
+                         c.slope if np.isfinite(c.slope) else 99.0, "pass" if c.passed else "fail"))
+            want.add(f"{h.label}/{c.line_id}", 0.0, 0.0 if c.passed else max(c.required - c.slope, 1.0), 0.0)
+    serial = tmp_path / "serial.csv"
+    cli.emit_csv(("line_id", "point", "numeric", "leading_formula", "fitted_excess_decay", "pass"), rows, serial)
+    assert (tmp_path / "appendix_lines.csv").read_bytes() == serial.read_bytes()
+    assert report.rows() == want.rows() and len(want.rows()) == 96
 
 
 def test_index_sets_subcommand(tmp_path, capsys):
