@@ -14,7 +14,8 @@ sympy literals, each written with the ``srepr`` that ``sp.simplify`` returned
 for it.  The compiled code, and so every output bit, depends on the form of a
 tree and not only on its value, so the literals must keep that ``srepr``.
 They replace the ``sp.simplify`` calls that took most of the news field's
-set-up; one call is left, on the long component of ``news_compatible_field``.
+set-up; the long component of ``news_compatible_field`` takes the normal form
+of ``sp.factor``.
 """
 
 from __future__ import annotations
@@ -317,6 +318,11 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     ``bondi_mass_from_data``.  The same law holds for a log coefficient that the
     news drives, d_u c = |d_u h_AB|^2 / 4, with the M_B(u) of ``evolve_mass_aspect``:
     the Bondi mass loss is the coefficient of the log.
+
+    The long component is ``sp.factor``'s normal form of its sum, a
+    deterministic tree built at a tenth of the cost of ``sp.simplify``.  For
+    mode (2, 0) it evaluates as fast as the ``sp.simplify`` form; the raw sum
+    would make every metric evaluation about a fifth slower.
     """
     ang = _angular(*mode)
     A = sp.nsimplify(amplitude) * sp.sympify(profile)
@@ -324,7 +330,7 @@ def news_compatible_field(amplitude, profile, mode=(2, 0), with_log=False):
     # A depends on rho0 alone and the angular operators are linear, so
     # div(A E) = A div E and div div(A E) = A div div E
     dA = RHO0**2 * sp.diff(A, RHO0)
-    h11 = sp.simplify(A * A * ang.div_div / 2 - A * dA * ang.square / 2)
+    h11 = sp.factor(A * A * ang.div_div / 2 - A * dA * ang.square / 2)
     log_coeff = 0
     if with_log:
         log_coeff = sp.nsimplify(with_log) * (1 + sp.cos(TH) ** 2)

@@ -4,16 +4,18 @@ The mass-m static metric plus an optional perturbation with prescribed
 decay classes is built symbolically in coordinates (q, s, theta, phi) with
 the area radius r entering implicitly through r_* = (q - s)/2; the implicit
 dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  The component
-values and their first and second coordinate derivatives share one
-common-subexpression pass; the components with their first derivatives are
-compiled to a vectorized numpy callable with the field, the second
-derivatives on their first use.  The symbolic calculus of the round sphere
+values and their first coordinate derivatives are built, reduced by one
+common-subexpression pass and compiled to a vectorized numpy callable with
+the field; the second derivatives are differentiated, reduced and compiled
+on their own on their first use, unless the field is built with ``order=2``,
+which reduces both orders in one pass.  The symbolic calculus of the round sphere
 (trace, index raising, contraction, covariant derivative and divergence)
 is written here once for every module that builds angular expressions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -155,7 +157,9 @@ class _Evaluator:
     def compile(self):
         """Generate and compile the numpy code once; returns the evaluator."""
         if self._fn is None:
-            self._fn = sp.lambdify(self._args, self._exprs, modules="numpy",
+            # the module, not the name "numpy": the name makes sympy run
+            # ``from numpy import *``, which imports numpy.f2py and numpy.testing
+            self._fn = sp.lambdify(self._args, self._exprs, modules=[np],
                                    cse=lambda exprs: (self._subs, exprs))
         return self
 
@@ -251,8 +255,8 @@ class MetricEval:
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    rows: np.ndarray     # (50, N)
-    second: _Evaluator   # the order-2 group, 100 rows
+    rows: np.ndarray               # (50, N)
+    second: Callable[[], _Evaluator]   # the order-2 group of 100 rows, built on its first call
 
     @cached_property
     def g(self):
@@ -267,7 +271,7 @@ class MetricEval:
     @cached_property
     def d2g(self):
         """(N, 4, 4, 4, 4), index order (kappa, lambda, mu, nu)"""
-        return _gather(self.second.rows(self.r, self.q, self.s, self.theta, self.phi), _D2G_ROWS)
+        return _gather(self.second().rows(self.r, self.q, self.s, self.theta, self.phi), _D2G_ROWS)
 
     @cached_property
     def ginv(self):
@@ -275,12 +279,31 @@ class MetricEval:
 
 
 class MetricField:
-    """The static background of mass m, optionally perturbed."""
+    """The static background of mass m, optionally perturbed.
 
-    def __init__(self, m, h: PerturbationField | None = None):
+    The components and their first derivatives are differentiated, CSE'd and
+    compiled with the field.  With ``order=1`` (the default) the second
+    derivatives are differentiated, CSE'd and compiled on their own on the
+    first read of ``d2g``.  With ``order=2`` both orders are built at once
+    from one joint CSE, whose order <= 1 rows differ in the last bits from
+    the separate build's.
+    """
+
+    def __init__(self, m, h: PerturbationField | None = None, order=1):
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, not {order!r}")
         self.m = _mass(m)
         self.h = h
-        self._build()
+        g = self._component_exprs()
+        self._D = _diff_ops(self.m)
+        self._first = {(k, key): self._D[k](g[key]) for key in _COMP_KEYS for k in range(4)}
+        order1 = tuple([g[key] for key in _COMP_KEYS]
+                       + [self._first[(k, key)] for k in range(4) for key in _COMP_KEYS])
+        if order == 2:
+            self._low, self._second = _compiled(CHART, (order1, self._order2()))
+        else:
+            (self._low,) = _compiled(CHART, (order1,))
+        self._low.compile()
 
     def _component_exprs(self):
         m = self.m
@@ -300,33 +323,23 @@ class MetricField:
         g["33"] = -(RR**2) * ROUND_METRIC[1, 1] + RR * gh["33"]
         return g
 
-    def _build(self):
-        g = self._component_exprs()
-        D = _diff_ops(self.m)
-        first = {}
-        second = {}
-        for key, e in g.items():
-            for k in range(4):
-                first[(k, key)] = D[k](e)
-        for key in g:
-            for k in range(4):
-                for l in range(k, 4):
-                    second[(k, l, key)] = D[l](first[(k, key)])
+    def _order2(self):
+        """The 100 second derivatives, in the row order of ``_D2G_ROWS``."""
+        return tuple(self._D[l](self._first[(k, key)])
+                     for k in range(4) for l in range(k, 4) for key in _COMP_KEYS)
 
-        order1 = [g[k] for k in _COMP_KEYS]
-        order1 += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
-        order2 = [second[(k, l, key)] for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
-        # one CSE over both orders keeps every row bitwise equal to a single
-        # compile; the order-2 group is compiled on the first read of d2g
-        self._low, self._high = _compiled(CHART, (tuple(order1), tuple(order2)))
-        self._low.compile()
+    @cached_property
+    def _second(self):
+        """The order-2 evaluator of an ``order=1`` field, built on first read."""
+        (second,) = _compiled(CHART, (self._order2(),))
+        return second
 
     def radius(self, q, s):
         return double_null_radius(q, s, self.m)
 
     def at(self, q, s, theta, phi) -> MetricEval:
         point = chart_point(q, s, theta, phi, self.m)
-        return MetricEval(*point, self._low.rows(*point), self._high)
+        return MetricEval(*point, self._low.rows(*point), lambda: self._second)
 
 
 # -- exact closed forms for the unperturbed metric --------------------------

@@ -333,6 +333,12 @@ def _loaded_after(statement):
     return set(out.stdout.split())
 
 
+def test_compiling_a_field_loads_no_numpy_test_or_fortran_tools():
+    loaded = _loaded_after("from nullinf.metrics import MetricField\nMetricField(0.1)")
+    assert "nullinf.metrics" in loaded
+    assert {"numpy.f2py", "numpy.testing"} & loaded == set()
+
+
 def test_package_root_and_model_pde_load_only_what_they_use():
     assert {m for m in _loaded_after("import nullinf") if m.startswith("nullinf.")} == set()
     assert "sympy" not in _loaded_after("import nullinf.modelpde")

@@ -14,14 +14,13 @@ from nullinf import tensors as tn
 from nullinf.bondi import news_compatible_field
 from nullinf.compactify import tortoise
 from nullinf.metrics import (
+    CHART,
     _COMP_KEYS,
     _IDX,
     RHO0,
     RHOI,
     RR,
     PH,
-    Q,
-    S,
     ROUND_INV,
     ROUND_METRIC,
     TH,
@@ -494,15 +493,21 @@ def scatter_assembly(vals, n):
     return g, dg, d2g
 
 
-def single_compile_columns(mf, r, q, s, th, ph):
-    """Reference: all 150 component and derivative expressions in one compile."""
+def direct_compile_columns(mf, order, r, q, s, th, ph):
+    """Reference: the 150 component and derivative expressions compiled by ``lambdify``.
+
+    ``order=2`` compiles all of them in one CSE, ``order=1`` the 50 order <= 1
+    expressions and the 100 order-2 ones apart, as the field builds them.
+    """
     g = mf._component_exprs()
     D = _diff_ops(mf.m)
     first = {(k, key): D[k](g[key]) for key in _COMP_KEYS for k in range(4)}
     exprs = [g[key] for key in _COMP_KEYS]
     exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
     exprs += [D[l](first[(k, key)]) for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
-    return np.stack(compile_fields((RR, Q, S, TH, PH), exprs)(r, q, s, th, ph), axis=-1)
+    groups = [exprs] if order == 2 else [exprs[:50], exprs[50:]]
+    return np.stack([np.broadcast_to(col, r.shape) for group in groups
+                     for col in sp.lambdify(CHART, group, modules="numpy", cse=True)(r, q, s, th, ph)], axis=-1)
 
 
 def perturbation_for(label):
@@ -514,21 +519,22 @@ def perturbation_for(label):
 
 
 @pytest.mark.parametrize(
-    "label, batch",
-    [pytest.param(label, batch, id=label + suffix)
+    "label, batch, order",
+    [pytest.param(label, batch, order, id=label + suffix + ("-order2" if order == 2 else ""))
      for label in ("background", "manufactured", "news-compatible")
-     for batch, suffix in (((270,), ""), ((30, 9), "-2d"))],  # Picard sweeps evaluate 2-D batches
+     for batch, suffix in (((270,), ""), ((30, 9), "-2d"))  # Picard sweeps evaluate 2-D batches
+     for order in (1, 2)],
 )
-def test_gathered_metric_matches_scatter_assembly(label, batch):
+def test_gathered_metric_matches_scatter_assembly(label, batch, order):
     m = 0.1
-    mf = MetricField(m, perturbation_for(label))
+    mf = MetricField(m, perturbation_for(label), order=order)
     q, s, th, ph = (x.reshape(batch) for x in random_points(np.random.default_rng(5), 270, m))
     ev = mf.at(q, s, th, ph)
     gamma = tn.christoffel(ev)
     assert "d2g" not in vars(ev)  # never built unless read
     riem, _ = tn.riemann_ricci(ev)
 
-    cols = single_compile_columns(mf, ev.r, ev.q, ev.s, ev.theta, ev.phi)
+    cols = direct_compile_columns(mf, order, ev.r, ev.q, ev.s, ev.theta, ev.phi)
     g, dg, d2g = scatter_assembly([cols[..., i] for i in range(cols.shape[-1])], batch)
     ref = SimpleNamespace(g=g, dg=dg, d2g=d2g, ginv=np.linalg.inv(g))
     assert ev.g.shape == batch + (4, 4) and ev.d2g.shape == batch + (4, 4, 4, 4)
@@ -559,6 +565,21 @@ def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
     ev2 = mf.at(*random_points(np.random.default_rng(3), 5, 0.3))
     ev2.d2g
     assert compiled == [50, 100]
+
+
+@pytest.mark.parametrize("order", [0, 3, "2"])
+def test_metric_field_order_is_one_or_two(order):
+    with pytest.raises(ValueError, match=r"^order must be 1 or 2, not "):
+        MetricField(0.1, order=order)
+
+
+def test_excess_decay_slopes_builds_both_fields_from_one_joint_cse(monkeypatch):
+    groups = []
+    compiled = metrics._compiled
+    monkeypatch.setattr(metrics, "_compiled", lambda args, gs: groups.append(tuple(map(len, gs))) or compiled(args, gs))
+    excess_decay_slopes(manufactured_suite()[1], 0.1)
+    # the perturbed field and the background; every other compile is one line's leading term
+    assert [sizes for sizes in groups if sizes != (1,)] == [(50, 100), (50, 100)]
 
 
 def test_compile_fields_shape_constants_and_memo(monkeypatch):
@@ -598,6 +619,14 @@ def test_lambdify_called_only_inside_compile_fields():
     assert calls == 1
     assert "lambdify(" in inspect.getsource(metrics._Evaluator.compile)
     assert "_compiled(" in inspect.getsource(metrics.compile_fields)
+
+
+@pytest.mark.parametrize("index", range(len(manufactured_suite())))
+def test_compiled_source_is_the_numpy_printers(index):
+    # the module passed to lambdify prints the same code as the name "numpy"
+    low = MetricField(0.1, manufactured_suite()[index])._low
+    named = sp.lambdify(CHART, low._exprs, modules="numpy", cse=lambda exprs: (low._subs, exprs))
+    assert inspect.getsource(low.compile()._fn) == inspect.getsource(named)
 
 
 def test_inverse_tortoise_called_only_inside_compactify():
