@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import os
 import re
 import sys
@@ -467,8 +468,10 @@ def run_verify_appendix(opts, outdir: Path) -> RunReport:
     count = len(manufactured_suite())
     # the CPUs this process may use; sched_getaffinity exists on Linux only
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # forked workers (the default on Linux) start with sympy and nullinf imported
-    with ProcessPoolExecutor(min(count, cpus)) as pool:
+    # forked workers start with sympy and nullinf imported; Linux forks by
+    # default only up to Python 3.13, so ask for it rather than get forkserver
+    context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+    with ProcessPoolExecutor(min(count, cpus), mp_context=context) as pool:
         # the fields late in the suite cost the most: submit them first
         futures = [pool.submit(check_field, i, opts) for i in reversed(range(count))]
         fields = [f.result() for f in reversed(futures)]

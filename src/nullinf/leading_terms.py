@@ -186,8 +186,8 @@ def excess_decay_slopes(
     th = np.full(npts, theta)
     ph = np.full(npts, phi)
 
-    # both fields from one CSE of both orders: split builds move the
-    # numeric lines' last bits, and with them appendix_lines.csv
+    # both fields compile both orders as one function, one CSE: split builds
+    # move the numeric lines' last bits, and with them appendix_lines.csv
     metric = MetricField(m, h, order=2)
     bg = MetricField(m, order=2)
     ev = metric.at(q, s, th, ph)

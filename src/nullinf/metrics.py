@@ -3,14 +3,14 @@
 The mass-m static metric plus an optional perturbation with prescribed
 decay classes is built symbolically in coordinates (q, s, theta, phi) with
 the area radius r entering implicitly through r_* = (q - s)/2; the implicit
-dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  The component
-values and their first coordinate derivatives are built, reduced by one
-common-subexpression pass and compiled to a vectorized numpy callable with
-the field; the second derivatives are differentiated, reduced and compiled
-on their own on their first use, unless the field is built with ``order=2``,
-which reduces both orders in one pass.  The symbolic calculus of the round sphere
-(trace, index raising, contraction, covariant derivative and divergence)
-is written here once for every module that builds angular expressions.
+dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  Each
+expression tuple is compiled with one common-subexpression pass into one
+vectorized numpy function: a field's component values and first coordinate
+derivatives when it is built, its second derivatives on their first use,
+or all 150 rows as one function for a field built with ``order=2``.  The
+symbolic calculus of the round sphere (trace, index raising, contraction,
+covariant derivative and divergence) is written here once for every module
+that builds angular expressions.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def compile_fields(args, items):
     # each item as an object array of its entries, a scalar as a 0-d one
     arrays = [np.array(item.tolist() if isinstance(item, (sp.MatrixBase, sp.NDimArray)) else item, dtype=object)
               for item in items]
-    rows_of = _compiled(tuple(args), (tuple(e for a in arrays for e in a.flat),))[0].compile().rows
+    rows_of = _compiled(tuple(args), tuple(e for a in arrays for e in a.flat))
     offsets = np.cumsum([a.size for a in arrays])[:-1]
 
     def evaluate(*values):
@@ -126,51 +126,24 @@ def compile_fields(args, items):
 
 
 @lru_cache(maxsize=1024)
-def _compiled(args, groups):
-    """One CSE over every group's expressions, and one evaluator per group.
+def _compiled(args, exprs):
+    """One CSE and one compiled numpy function of the expression tuple ``exprs``.
 
-    Each evaluator keeps the common subexpressions its own expressions need
-    and is compiled by ``compile`` or else on its first call.
+    The returned callable fills an array of shape ``(len(exprs), *broadcast
+    shape of the inputs)``, one contiguous row per expression.
     """
-    subs, reduced = sp.cse([e for group in groups for e in group], list=False)
-    evaluators, start = [], 0
-    for group in groups:
-        exprs = reduced[start:start + len(group)]
-        start += len(group)
-        needed = set().union(*(sp.sympify(e).free_symbols for e in exprs))
-        kept = []
-        for sym, e in reversed(subs):
-            if sym in needed:
-                kept.append((sym, e))
-                needed |= e.free_symbols
-        evaluators.append(_Evaluator(args, kept[::-1], exprs))
-    return tuple(evaluators)
+    # the module, not the name "numpy", which makes sympy run ``from numpy
+    # import *`` (numpy.f2py, numpy.testing); no docstring and no search for
+    # implemented functions, which would walk the unreduced expressions
+    fn = sp.lambdify(args, exprs, modules=[np], cse=True, docstring_limit=0, use_imps=False)
 
-
-class _Evaluator:
-    """Compiled numpy evaluation of one expression group."""
-
-    def __init__(self, args, subs, exprs):
-        self._args, self._subs, self._exprs = args, subs, exprs
-        self._fn = None
-
-    def compile(self):
-        """Generate and compile the numpy code once; returns the evaluator."""
-        if self._fn is None:
-            # the module, not the name "numpy": the name makes sympy run
-            # ``from numpy import *``, which imports numpy.f2py and numpy.testing
-            self._fn = sp.lambdify(self._args, self._exprs, modules=[np],
-                                   cse=lambda exprs: (self._subs, exprs))
-        return self
-
-    def rows(self, *values):
-        """Array of shape ``(len(exprs), ...)``: one contiguous row per expression."""
-        self.compile()
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        out = np.empty((len(self._exprs),) + shape)
-        for i, row in enumerate(self._fn(*values)):
+    def rows(*values):
+        out = np.empty((len(exprs),) + np.broadcast_shapes(*(np.shape(v) for v in values)))
+        for i, row in enumerate(fn(*values)):
             out[i] = row
         return out
+
+    return rows
 
 
 @dataclass(frozen=True)
@@ -212,9 +185,9 @@ class PerturbationField:
 def _row_tables():
     """Row of the compiled arrays behind each slot of g, dg and d2g.
 
-    The components and their first derivatives are the 50 rows of the
-    order <= 1 group; the second derivatives are the 100 rows of the
-    order-2 group.
+    The components and their first derivatives are the 50 order <= 1 rows;
+    the second derivatives are the 100 order-2 rows, counted from their own
+    first row.
     """
     n = len(_COMP_KEYS)
     pair = np.empty((4, 4), dtype=np.intp)
@@ -244,10 +217,10 @@ def _gather(rows, index):
 class MetricEval:
     """Metric data evaluated on a batch of points.
 
-    ``rows`` holds the order <= 1 group: the ten components, then their
-    first derivatives.  ``g`` and ``dg`` are gathered from it on first read;
-    ``d2g`` evaluates the order-2 group on its first read, so a caller that
-    never reads it never computes it.
+    ``rows`` holds the 50 order <= 1 rows: the ten components, then their
+    first derivatives.  ``g`` and ``dg`` are gathered from it on first read,
+    ``d2g`` from the 100 order-2 rows of ``second()``, which a default field
+    evaluates only on that first read.
     """
 
     r: np.ndarray
@@ -255,8 +228,8 @@ class MetricEval:
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    rows: np.ndarray               # (50, N)
-    second: Callable[[], _Evaluator]   # the order-2 group of 100 rows, built on its first call
+    rows: np.ndarray                     # (50, N)
+    second: Callable[[], np.ndarray]     # the (100, N) order-2 rows
 
     @cached_property
     def g(self):
@@ -271,7 +244,7 @@ class MetricEval:
     @cached_property
     def d2g(self):
         """(N, 4, 4, 4, 4), index order (kappa, lambda, mu, nu)"""
-        return _gather(self.second().rows(self.r, self.q, self.s, self.theta, self.phi), _D2G_ROWS)
+        return _gather(self.second(), _D2G_ROWS)
 
     @cached_property
     def ginv(self):
@@ -281,12 +254,12 @@ class MetricEval:
 class MetricField:
     """The static background of mass m, optionally perturbed.
 
-    The components and their first derivatives are differentiated, CSE'd and
-    compiled with the field.  With ``order=1`` (the default) the second
-    derivatives are differentiated, CSE'd and compiled on their own on the
-    first read of ``d2g``.  With ``order=2`` both orders are built at once
-    from one joint CSE, whose order <= 1 rows differ in the last bits from
-    the separate build's.
+    Each expression tuple gets one CSE and one compiled function.  With
+    ``order=1`` (the default) the field compiles its 50 components and first
+    derivatives when built, and its 100 second derivatives as a second
+    function on the first read of ``d2g``.  With ``order=2`` it compiles all
+    150 rows as one function, whose order <= 1 rows differ in the last bits
+    from the separate build's.
     """
 
     def __init__(self, m, h: PerturbationField | None = None, order=1):
@@ -299,11 +272,8 @@ class MetricField:
         self._first = {(k, key): self._D[k](g[key]) for key in _COMP_KEYS for k in range(4)}
         order1 = tuple([g[key] for key in _COMP_KEYS]
                        + [self._first[(k, key)] for k in range(4) for key in _COMP_KEYS])
-        if order == 2:
-            self._low, self._second = _compiled(CHART, (order1, self._order2()))
-        else:
-            (self._low,) = _compiled(CHART, (order1,))
-        self._low.compile()
+        self._order = order
+        self._rows = _compiled(CHART, order1 + self._order2() if order == 2 else order1)
 
     def _component_exprs(self):
         m = self.m
@@ -330,16 +300,17 @@ class MetricField:
 
     @cached_property
     def _second(self):
-        """The order-2 evaluator of an ``order=1`` field, built on first read."""
-        (second,) = _compiled(CHART, (self._order2(),))
-        return second
+        """The compiled order-2 rows of an ``order=1`` field, built on first read."""
+        return _compiled(CHART, self._order2())
 
     def radius(self, q, s):
         return double_null_radius(q, s, self.m)
 
     def at(self, q, s, theta, phi) -> MetricEval:
         point = chart_point(q, s, theta, phi, self.m)
-        return MetricEval(*point, self._low.rows(*point), lambda: self._second)
+        rows = self._rows(*point)
+        second = (lambda: rows[50:]) if self._order == 2 else (lambda: self._second(*point))
+        return MetricEval(*point, rows[:50], second)
 
 
 # -- exact closed forms for the unperturbed metric --------------------------

@@ -31,7 +31,7 @@ def _first_kind(dg):
     return 0.5 * (
         np.einsum("...mkn->...kmn", dg)
         + np.einsum("...nkm->...kmn", dg)
-        - np.einsum("...kmn->...kmn", dg)
+        - dg
     )
 
 

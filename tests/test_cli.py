@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -388,6 +389,31 @@ def test_fields_run_in_one_worker_per_usable_cpu(tmp_path, monkeypatch):
     assert cli.run("verify-appendix", cfg, tmp_path / "one") == 0
     assert len(workers(tmp_path / "one")) == 1
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("platform", ["linux", "darwin"])
+def test_verify_appendix_pool_forks_on_linux(tmp_path, monkeypatch, platform):
+    """On Linux the pool asks for fork, whatever the interpreter's default start method.
+
+    Python 3.14 makes forkserver the Linux default; its workers would import
+    sympy and nullinf afresh and miss a test's monkeypatch.  Elsewhere the
+    platform's default stands.
+    """
+    contexts = []
+
+    def recording(workers, mp_context=None):
+        contexts.append(mp_context)
+        return ThreadPoolExecutor(workers)   # no process starts under the stand-in platform
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(cli, "excess_decay_slopes", lambda h, m, **kwargs: [])
+    monkeypatch.setattr(sys, "platform", platform)
+    assert cli.run("verify-appendix", write_config(tmp_path, "mass = 0.1\n"), tmp_path / "out") == 0
+    (context,) = contexts
+    if platform == "linux":
+        assert context.get_start_method() == "fork"
+    else:
+        assert context is None
 
 
 @pytest.mark.parametrize("mass", ["0.1", "0.05"])

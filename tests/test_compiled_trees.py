@@ -34,7 +34,7 @@ def _news_tensor(tmp_path):
 
 def _news_field(tmp_path):
     h, _ = bondi.news_compatible_field(0.1, 1 / (1 + 5 * metrics.RHO0), mode=(2, 1), with_log=0.3)
-    metrics.MetricField(0.1, h).at(60.0, -10.0, 1.1, 0.7).d2g   # the order <= 1 group, then order 2
+    metrics.MetricField(0.1, h).at(60.0, -10.0, 1.1, 0.7).d2g   # the order <= 1 rows, then order 2
 
 
 def _news_field_20(tmp_path):
@@ -49,20 +49,21 @@ def _manufactured(tmp_path):
         modelpde.full_coupling_matrices(h, 0.1, 0.3, 0.2)
 
 
-#: case -> (work, SHA-256 of the srepr of every (args, groups) pair compiled, in call order)
+#: case -> (work, SHA-256 of the srepr of every (args, expressions) pair compiled, in call order;
+#: each pair is one CSE and one compiled function)
 CASES = {
     "bondi-runner": (_run_bondi,
-        "9dd23625651a33188892b15f1e16484dd24f4ad27cf222420a9d154d09bd4e69"),
+        "e3a05a342f1d7fad3edda9b116a0d8032ae0cd560b80bc72aabc83a706546958"),
     "verify-appendix-runner": (_check_fields,
-        "4071a644cf37e2d671e540d6811dba564d2f64249308e55873a225a3622025c5"),
+        "b8a9b55cf375f6144f3521310b4481de86107a676d93de9a24f5ac74c504790b"),
     "news-tensor-(2,0)+(2,1)": (_news_tensor,
-        "b6f7c0985712d9db84a60cb6a417da520253a43e9f61226a11a68aa82b8c1f50"),
+        "928e84d5e1c493d1773b18757f1606ea57192bd40b9a1e6d343e23e0a8bbdf23"),
     "news-field-(2,1)-log": (_news_field,
-        "28a6ce3cf87eb94af4d0d2ba98fc11c8b77ba741d5d49049af50a2d0690807f8"),
+        "4f8c8d6f1f196d95136e8011735809530f4cb15067a6b66e98e5bc5a3e466a83"),
     "news-field-(2,0)": (_news_field_20,
-        "b36b337c5a9578d8a5e23bb91fef46dac7be90dccd1c1eec4242a2f0eaad964e"),
+        "58b70f00b705b0cf969c12c93345c8ae42d2239e6b237cb3310044f70c201e07"),
     "manufactured-residual-and-coupling": (_manufactured,
-        "f2eee794b5e6fdad58fac1a419bca3a18e8c2b45efab7e09f7e2031c3f7ff7f4"),
+        "1cd3e8be6d22268dea5d161c2afe72aed973b1186d269540c418ff95b25b4ad5"),
 }
 
 
@@ -72,9 +73,9 @@ def test_compiled_trees_are_pinned(tmp_path, monkeypatch, case):
     seen = []
     compiled = metrics._compiled
 
-    def recording(args, groups):
-        seen.append(sp.srepr((args, groups)))
-        return compiled(args, groups)
+    def recording(args, exprs):
+        seen.append(sp.srepr((tuple(args), tuple(exprs))))
+        return compiled(args, exprs)
 
     monkeypatch.setattr(metrics, "_compiled", recording)
     monkeypatch.setattr(bondi, "_double_divergence", lambda mat: sp.Integer(0))

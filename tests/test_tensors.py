@@ -574,12 +574,32 @@ def test_metric_field_order_is_one_or_two(order):
 
 
 def test_excess_decay_slopes_builds_both_fields_from_one_joint_cse(monkeypatch):
-    groups = []
+    sizes = []
     compiled = metrics._compiled
-    monkeypatch.setattr(metrics, "_compiled", lambda args, gs: groups.append(tuple(map(len, gs))) or compiled(args, gs))
+    monkeypatch.setattr(metrics, "_compiled", lambda args, exprs: sizes.append(len(exprs)) or compiled(args, exprs))
     excess_decay_slopes(manufactured_suite()[1], 0.1)
     # the perturbed field and the background; every other compile is one line's leading term
-    assert [sizes for sizes in groups if sizes != (1,)] == [(50, 100), (50, 100)]
+    assert [n for n in sizes if n != 1] == [150, 150]
+
+
+def test_order2_field_compiles_once(monkeypatch):
+    compiled = []
+    lambdify = sp.lambdify
+
+    def counting(args, exprs, **kw):
+        compiled.append(len(exprs))
+        return lambdify(args, exprs, **kw)
+
+    monkeypatch.setattr(metrics.sp, "lambdify", counting)
+    # an expression no other test compiles, so the memo cannot hold it
+    comps = lambda: {"12": sp.Rational(19, 31) * RHO0 * RHOI * sp.sin(TH)}
+    ev = MetricField(0.3, PerturbationField(comps()), order=2).at(*random_points(np.random.default_rng(4), 7, 0.3))
+    assert compiled == [150]
+    ev.d2g
+    assert compiled == [150]
+    # a field of equal expressions shares the compiled function
+    MetricField(0.3, PerturbationField(comps()), order=2).at(*random_points(np.random.default_rng(5), 3, 0.3)).d2g
+    assert compiled == [150]
 
 
 def test_compile_fields_shape_constants_and_memo(monkeypatch):
@@ -617,16 +637,26 @@ def test_lambdify_called_only_inside_compile_fields():
     package = Path(nullinf.__file__).parent
     calls = sum(p.read_text().count("lambdify(") for p in package.glob("*.py"))
     assert calls == 1
-    assert "lambdify(" in inspect.getsource(metrics._Evaluator.compile)
+    assert "lambdify(" in inspect.getsource(metrics._compiled)
     assert "_compiled(" in inspect.getsource(metrics.compile_fields)
 
 
 @pytest.mark.parametrize("index", range(len(manufactured_suite())))
-def test_compiled_source_is_the_numpy_printers(index):
+def test_compiled_source_is_the_numpy_printers(monkeypatch, index):
     # the module passed to lambdify prints the same code as the name "numpy"
-    low = MetricField(0.1, manufactured_suite()[index])._low
-    named = sp.lambdify(CHART, low._exprs, modules="numpy", cse=lambda exprs: (low._subs, exprs))
-    assert inspect.getsource(low.compile()._fn) == inspect.getsource(named)
+    made = []
+    lambdify = sp.lambdify
+
+    def recording(args, exprs, **kw):
+        made.append((args, exprs, lambdify(args, exprs, **kw)))
+        return made[-1][-1]
+
+    monkeypatch.setattr(metrics.sp, "lambdify", recording)
+    monkeypatch.setattr(metrics, "_compiled", metrics._compiled.__wrapped__)   # past the memo
+    MetricField(0.1, manufactured_suite()[index])
+    ((args, exprs, fn),) = made
+    named = lambdify(args, exprs, modules="numpy", cse=True)
+    assert inspect.getsource(fn) == inspect.getsource(named)
 
 
 def test_inverse_tortoise_called_only_inside_compactify():
