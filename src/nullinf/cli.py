@@ -201,9 +201,9 @@ RELATIONS = {
         # the leading-term fits square residuals of the solution, which is linear in
         # the amplitude; 1e150 squared stays 1e8 below the largest float
         ("abs(forcing_amplitude) <= 1e150", lambda v: abs(v["forcing_amplitude"]) <= 1e150),
-        # time and memory grow with the cells of the grid: one run takes 6.3 s and
-        # 257 MB at 263,169 cells, 10 s and 447 MB at 525,625, 22 s and 827 MB at
-        # 1,050,625 (2-vCPU host); the forcing alone takes 16 bytes a cell.  A span
+        # time and memory grow with the cells, about 720 bytes a cell, nearly all in the
+        # solution CSV's rows (the march keeps 16): one run takes 3-4 s and 260 MB at
+        # 263,169 cells, 16-18 s and 830 MB at 1,050,625 (2-vCPU host).  A span
         # eps / rho_min too large for a float has no finite count of cells
         ("cells(eps, rho_min, points_per_decade) <= 1.1e6",
          lambda v: math.isfinite(v["eps"] / v["rho_min"]) and _model_grid(v).cells <= 1.1e6),

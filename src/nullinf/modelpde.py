@@ -9,10 +9,10 @@ extended to the left so that every diagonal through the requested window
 starts on the data edge.
 
 A forcing is a callable f(rho0, rhoI) of elementwise numpy operations: a
-mode solve calls it once, with broadcastable arrays of shapes (1, n_ext)
-and (nJ, 1) covering the whole extended grid.  The Newton iteration's
-forcings add the frozen quadratic coupling, a table on the core nodes
-zero-padded to the extended grid.
+mode solve calls it once per block of rows, with broadcastable arrays of
+shapes (1, n) and (k, 1) covering the cells of those rows that reach the
+core.  The Newton iteration hands the march the frozen quadratic coupling
+as a table on the core nodes, which the march adds to the forcing.
 
 The weak-null log coefficient follows from the factored form.  At the fixed
 point u1 is forced by F = a^2 / (rho0 rhoI), a = d1 u1c = rho0 (w1c + rhoI
@@ -121,15 +121,18 @@ class ModeSolution:
         return rho0 * (self.w + 0.5 * rhoI * di)
 
 
-def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
+#: rows per forcing call: the rho0 factor is computed once per block, and a block stays in cache
+_BLOCK_ROWS = 64
+
+
+def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData, table=None):
     """Integrate the factored model inward from the top edge.
 
-    Works on the grid extended to the left by one diagonal sweep so that the
-    whole requested window is reached from the data edge.  The forcing is
-    evaluated once on the whole extended grid; each step turns the rows
-    (u, w) at rhoI[j + 1] into those at rhoI[j] and keeps only their core
-    part, so no extended array outlives the step.  Returns C-contiguous core
-    arrays (u, w).
+    Works on the grid extended to the left by one diagonal sweep; row j keeps
+    only the nodes [nJ - 1 - j, n_ext), whose diagonals reach the core window.
+    The forcing is evaluated once per block of rows; ``table``, if given, is
+    an (ncore, nJ) table on the core nodes added to it, zero left of them.
+    Returns C-contiguous core arrays (u, w).
     """
     h = grid.h
     rhoI = grid.rhoI
@@ -139,30 +142,36 @@ def _march(grid: CharacteristicGrid, gamma, forcing, data: BoundaryData):
     rho0_ext = grid._nodes(next_)
 
     lam = float(grid.ell * (grid.ell + 1))
-    F = 0.0 if forcing is None else forcing(rho0_ext[None, :], rhoI[:, None])
-    F = np.broadcast_to(np.asarray(F, dtype=float), (nJ, next_))
-    # row j holds the core of the column rhoI[j]
-    u_rows = np.empty((nJ, ncore))
-    w_rows = np.empty((nJ, ncore))
+    u, w = np.empty((ncore, nJ)), np.empty((ncore, nJ))
+    # row j - lo holds the core of the column rhoI[j] while block [lo, hi] is marched
+    u_rows, w_rows = np.empty((2, _BLOCK_ROWS, ncore))
     U, W = data.top_values(rho0_ext)
-    u_rows[nJ - 1], w_rows[nJ - 1] = U[nJ - 1 :], W[nJ - 1 :]
 
     decay = math.exp(-gamma * h)
-    # A[0] stays NaN: cells that no diagonal from the data edge reaches come out NaN
-    A = np.empty(next_)
-    A[0] = np.nan
-    for j in range(nJ - 2, -1, -1):
-        S_above = 0.5 * rhoI[j + 1] * (F[j + 1] + lam * U)
-        B = decay * (W - 0.5 * h * S_above)
-        c = 0.25 * h * rhoI[j]
-        A[1:] = U[:-1] + 0.5 * h * W[:-1]
-        W = (B - c * F[j] - c * lam * A) / (1.0 + 0.5 * c * lam * h)
-        U = A + 0.5 * h * W
-        u_rows[j], w_rows[j] = U[nJ - 1 :], W[nJ - 1 :]
-    del F
+    for hi in range(nJ - 1, -1, -_BLOCK_ROWS):
+        lo = max(hi - _BLOCK_ROWS + 1, 0)
+        r0, rI = rho0_ext[None, nJ - 1 - hi :], rhoI[lo : hi + 1, None]
+        shape = (hi + 1 - lo, ncore + hi)
+        if table is None:
+            F = 0.0 if forcing is None else forcing(r0, rI)
+        else:
+            F = np.zeros(shape)
+            F[:, -ncore:] = table[:, lo : hi + 1].T
+            if forcing is not None:
+                F += forcing(r0, rI)
+        F = np.broadcast_to(np.asarray(F, dtype=float), shape)
+        for j in range(hi, lo - 1, -1):
+            if j < nJ - 1:
+                S_above = 0.5 * rhoI[j + 1] * (F_above[1:] + lam * U[1:])
+                B = decay * (W[1:] - 0.5 * h * S_above)
+                c = 0.25 * h * rhoI[j]
+                A = U[:-1] + 0.5 * h * W[:-1]
+                W = (B - c * F[j - lo, hi - j :] - c * lam * A) / (1.0 + 0.5 * c * lam * h)
+                U = A + 0.5 * h * W
+            F_above = F[j - lo, hi - j :]
+            u_rows[j - lo], w_rows[j - lo] = U[j:], W[j:]
+        u[:, lo : hi + 1], w[:, lo : hi + 1] = u_rows[: shape[0]].T, w_rows[: shape[0]].T
 
-    u = u_rows.T.copy()
-    w = w_rows.T.copy()
     if np.any(np.isnan(u)) or np.any(np.isnan(w)):
         raise RuntimeError("characteristic march left unfilled cells in the core window")
 
@@ -177,8 +186,8 @@ def solve_damped_mode(grid: CharacteristicGrid, gamma, forcing=None, data: Bound
     """Mode solver with the damped first factor (rhoI d/drhoI - gamma).
 
     ``gamma = 0`` is the undamped mode.  ``forcing(rho0, rhoI)`` is called
-    once, with rho0 of shape (1, n_ext) over the extended grid and rhoI of
-    shape (nJ, 1); its result must broadcast to (nJ, n_ext).
+    once per block of rows, with rho0 of shape (1, n) on the extended grid and
+    rhoI of shape (k, 1); its result must broadcast to (k, n).
     """
     if gamma < 0:
         raise ValueError("damping exponent must be nonnegative")
@@ -211,36 +220,26 @@ def newton_iterate(
     quadratic-convergence ratios of those errors.
     """
     iterates = []
-    rho0 = grid.rho0[:, None]
-    rhoI = grid.rhoI[None, :]
+    rho0_rhoI = np.outer(grid.rho0, grid.rhoI)
+    # the quadratic coupling frozen from the derivatives d1 of two solutions, on the core nodes
+    coupling = lambda a_prev, a_new: (2.0 * a_prev * a_new - a_prev**2) / rho0_rhoI
 
-    def linearized(base, a_prev, a_new):
-        """The forcing ``base`` (a callable of (r0, rI), or None) plus the quadratic
-        coupling frozen, from the derivatives d1 of the two solutions: a table on
-        the core nodes, zero on the nodes of the extended grid left of the core."""
-        table = ((2.0 * a_prev * a_new - a_prev**2) / (rho0 * rhoI)).T
-
-        def f(r0, rI):
-            F = np.zeros((rI.shape[0], r0.shape[1]))
-            F[:, -table.shape[1]:] = table
-            if base is not None:
-                F += base(r0, rI)
-            return F
-
-        return f
+    def sweep(base, table):
+        """The undamped mode forced by ``base`` (a callable of (r0, rI), or None) plus ``table``."""
+        return ModeSolution(grid, 0.0, *_march(grid, 0.0, base, BoundaryData(), table))
 
     u0 = solve_damped_mode(grid, gamma, forcing[0])
     a_u0 = u0.d1()
     a_prev = (np.zeros((len(grid.rho0), len(grid.rhoI))),) * 2    # d1 of the zero start
     for k in range(steps):
-        u1c = solve_damped_mode(grid, 0.0, linearized(forcing[1], a_prev[0], a_u0))
+        u1c = sweep(forcing[1], coupling(a_prev[0], a_u0))
         a_u1c = u1c.d1()
         # each d1 is taken once; the old one and the source go as soon as they
         # are used, so keeping d1 adds nothing to the peak memory of the marches
-        source = linearized(forcing[2], a_prev[1], a_u1c)
+        source = coupling(a_prev[1], a_u1c)
         fixed = np.array_equal(a_prev[0], a_u0) and np.array_equal(a_prev[1], a_u1c)
         a_prev = (a_u0, a_u1c)
-        u1 = solve_damped_mode(grid, 0.0, source)
+        u1 = sweep(forcing[2], source)
         del source
         current = (u0, u1c, u1)
         iterates.append(current)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,13 +260,13 @@ def test_newton_quadratic_convergence_and_leading_stability():
 
 def test_newton_solves_the_linear_u0_mode_once(monkeypatch):
     calls = []
-    solve = mp.solve_damped_mode
+    march = mp._march
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[1])
-        return solve(*args, **kwargs)
+        return march(*args)
 
-    monkeypatch.setattr(mp, "solve_damped_mode", counted)
+    monkeypatch.setattr(mp, "_march", counted)
     f0, f1 = toy_setup()
     for steps in (3, 8):
         calls.clear()
@@ -356,7 +357,7 @@ def test_newton_stops_marching_at_its_fixed_point(monkeypatch, name, marches):
 # -- the march against the column-loop reference ---------------------------------------
 
 
-def column_march(grid, gamma, forcing, data):
+def column_march(grid, gamma, forcing, data, table=None):
     """The march one column at a time on (n_ext, nJ) arrays: the reference."""
     h = grid.h
     rhoI = grid.rhoI
@@ -372,8 +373,14 @@ def column_march(grid, gamma, forcing, data):
     U[:, nJ - 1] = u_top
     W[:, nJ - 1] = w_top
 
-    # the forcing is called once on the whole grid, as its contract states
-    F = 0.0 if forcing is None else forcing(rho0_ext[None, :], rhoI[:, None])
+    # the forcing is called once on the whole grid; the core table is zero left of the core
+    if table is None:
+        F = 0.0 if forcing is None else forcing(rho0_ext[None, :], rhoI[:, None])
+    else:
+        F = np.zeros((nJ, next_))
+        F[:, nJ - 1 :] = table.T
+        if forcing is not None:
+            F += forcing(rho0_ext[None, :], rhoI[:, None])
     F = np.broadcast_to(np.asarray(F, dtype=float), (nJ, next_))
 
     decay = math.exp(-gamma * h)
@@ -436,21 +443,47 @@ def test_newton_iterates_match_column_reference(monkeypatch):
             assert_same_solution(sol, ref_sol)
 
 
-def test_forcing_is_called_once_on_the_whole_grid():
+def test_forcing_is_called_per_block_on_the_cells_that_reach_the_core():
+    grid = GRID.refined(2)
+    nJ = len(grid.rhoI)
+    n_ext = len(grid.rho0) + nJ - 1
+    rho0_ext = grid._nodes(n_ext)
+    row = {x: j for j, x in enumerate(grid.rhoI)}
     calls = []
 
     def forcing(r0, rI):
-        calls.append((r0.shape, rI.shape))
+        start = n_ext - r0.shape[1]
+        assert r0.shape[0] == 1 and rI.shape[1] == 1
+        assert np.array_equal(r0[0], rho0_ext[start:])
+        calls.append((start, [row[x] for x in rI[:, 0]]))
         return r0 * log_bump(1e-2)(rI)
 
-    grid = GRID.refined(2)
     sol = mp.solve_damped_mode(grid, 0.5, forcing)
-    n_ext = len(grid.rho0) + len(grid.rhoI) - 1
-    assert calls == [((1, n_ext), (len(grid.rhoI), 1))]
+    # the forcing is evaluated on blocks of rows, never on the whole extended grid
+    assert len(calls) > 1
+    # row j's window [nJ - 1 - j, n_ext) holds the cells whose diagonals reach the core
+    for j in range(nJ):
+        assert sum(j in rows and start <= nJ - 1 - j for start, rows in calls) == 1
+    # no call reaches a column left of the window of its top row
+    assert all(start >= nJ - 1 - max(rows) for start, rows in calls)
     # the core arrays do not pin the extended work arrays
     for a in (sol.u, sol.w):
-        assert a.shape == (len(grid.rho0), len(grid.rhoI))
+        assert a.shape == (len(grid.rho0), nJ)
         assert a.flags.c_contiguous and a.flags.owndata
+
+
+def test_march_peak_memory_stays_near_its_outputs():
+    # a 513 x 513 core: no full-grid forcing table and no transposed copy of the outputs
+    grid = mp.CharacteristicGrid(points_per_decade=128)
+    f = lambda r0, rI: log_bump(2e-2, 0.6)(r0) * compact_log_bump(1e-2)(rI)
+    tracemalloc.start()
+    try:
+        sol = mp.solve_damped_mode(grid, 0.5, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.u.shape == (513, 513)
+    assert peak <= 1.5 * (sol.u.nbytes + sol.w.nbytes)
 
 
 # -- fits ------------------------------------------------------------------------------
