@@ -7,8 +7,13 @@ Targets are batched: one call integrates a whole congruence.
 
 Each sweep evaluates the metric once along the current positions.  On a
 perturbed metric the force Gamma v v is the first-kind symbols contracted
-with v and solved with g, so neither the connection nor the inverse metric
-is formed; only the unperturbed metric uses its closed-form connection.
+with v, summed from the compiled derivative rows the field records as
+non-zero, and solved with g by its 2+2 blocks (sphere block, then the Schur
+complement of the null block, each an explicit 2x2 inverse), so neither the
+connection nor the inverse metric is formed and no batched LAPACK call is
+made; only the unperturbed metric uses its closed-form connection.  Other
+callers of the metric (``MetricEval.ginv``, ``tensors.christoffel``, used by
+the cuts and verify-appendix) keep ``np.linalg.inv``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compactify import _mass
-from .metrics import MetricField, schwarzschild_exact
+from .metrics import _COMP_KEYS, MetricField, schwarzschild_exact
+
+_NCOMP = len(_COMP_KEYS)
+#: (a, b) of each compiled component row, in row order
+_PAIRS = tuple((int(key[0]), int(key[1])) for key in _COMP_KEYS)
 
 
 def _cumulative_simpson(H, h):
@@ -40,22 +49,71 @@ def _cumulative_simpson(H, h):
     return out
 
 
+def _det2(a, b, c, block):
+    """The determinant a c - b^2 of a symmetric 2x2 block, checked to be invertible at every point."""
+    det = a * c - b * b
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise ValueError(f"the metric is singular on the sampled geodesics: its {block} block has a "
+                         "zero or non-finite determinant")
+    return det
+
+
 def _sweep_force(metric: MetricField, x):
-    """The map v -> Gamma^k_mn v^m v^n along sampled points, from one evaluation."""
+    """The map v -> Gamma^k_mn v^m v^n along sampled points, from one evaluation.
+
+    On a perturbed metric F_l = (d_m g_ln - d_l g_mn / 2) v^m v^n is summed
+    from the field's non-zero derivative rows, one row at a time, and g x = F
+    is solved by the 2+2 blocks: the sphere block (22, 23, 33) and the Schur
+    complement of the null block (00, 01, 11), each by its explicit 2x2
+    inverse.  A zero or non-finite determinant of either block raises
+    ``ValueError``.
+    """
     if metric.h is None:
         r = metric.radius(x[..., 0], x[..., 1])
         gam = schwarzschild_exact(r.ravel(), x[..., 2].ravel(), metric.m).gamma.reshape(
             x.shape[:-1] + (4, 4, 4)
         )
         return lambda v: np.einsum("...kmn,...m,...n->...k", gam, v, v)
-    ev = metric.at(x[..., 0], x[..., 1], x[..., 2], x[..., 3])
-    g, dg = ev.g, ev.dg
+    rows = metric.at(x[..., 0], x[..., 1], x[..., 2], x[..., 3]).rows
+    g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = rows[:_NCOMP]
+    # the sphere block D; Y = D^-1 B^T for the coupling rows b_0 = (g02, g03), b_1 = (g12, g13)
+    inv_d = 1.0 / _det2(g22, g23, g33, "sphere")
+    y02, y03 = (g33 * g02 - g23 * g03) * inv_d, (g22 * g03 - g23 * g02) * inv_d
+    y12, y13 = (g33 * g12 - g23 * g13) * inv_d, (g22 * g13 - g23 * g12) * inv_d
+    # the null block's Schur complement A - B D^-1 B^T
+    s00 = g00 - (g02 * y02 + g03 * y03)
+    s01 = g01 - (g02 * y12 + g03 * y13)
+    s11 = g11 - (g12 * y12 + g13 * y13)
+    inv_s = 1.0 / _det2(s00, s01, s11, "null Schur complement")
 
     def force(v):
-        # dv[k, m] = d_k g_mn v^n;  F_l = Gamma_lmn v^m v^n = dv[m, l] v^m - dv[l, m] v^m / 2
-        dv = np.einsum("...kmn,...n->...km", dg, v)
-        F = np.einsum("...ml,...m->...l", dv, v) - 0.5 * np.einsum("...lm,...m->...l", dv, v)
-        return np.linalg.solve(g, F[..., None])[..., 0]
+        vv = {}
+        for a in range(4):
+            for b in range(a, 4):
+                vv[a, b] = vv[b, a] = v[..., a] * v[..., b]
+        F = np.zeros((4,) + v.shape[:-1])
+        # the row d_k g_ab adds d_k g_ab v^k v^b to F_a, and the same with a and b
+        # swapped if they differ; it takes d_k g_ab v^a v^b (half of it if a = b) from F_k
+        for i in metric.nonzero_rows:
+            if i < _NCOMP:
+                continue  # a metric row: read by the solve
+            k, c = divmod(i - _NCOMP, _NCOMP)
+            a, b = _PAIRS[c]
+            d = rows[i]
+            F[a] += d * vv[k, b]
+            if a == b:
+                F[k] -= 0.5 * d * vv[a, a]
+            else:
+                F[b] += d * vv[k, a]
+                F[k] -= d * vv[a, b]
+        # x_null = S^-1 (F_null - B z) and x_sphere = z - Y x_null, with z = D^-1 F_sphere
+        z2 = (g33 * F[2] - g23 * F[3]) * inv_d
+        z3 = (g22 * F[3] - g23 * F[2]) * inv_d
+        r0 = F[0] - (g02 * z2 + g03 * z3)
+        r1 = F[1] - (g12 * z2 + g13 * z3)
+        x0 = (s11 * r0 - s01 * r1) * inv_s
+        x1 = (s00 * r1 - s01 * r0) * inv_s
+        return np.stack((x0, x1, z2 - (y02 * x0 + y12 * x1), z3 - (y03 * x0 + y13 * x1)), axis=-1)
 
     return force
 

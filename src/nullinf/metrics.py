@@ -259,7 +259,9 @@ class MetricField:
     derivatives when built, and its 100 second derivatives as a second
     function on the first read of ``d2g``.  With ``order=2`` it compiles all
     150 rows as one function, whose order <= 1 rows differ in the last bits
-    from the separate build's.
+    from the separate build's.  ``nonzero_rows`` lists, in ascending order, the
+    order <= 1 rows whose expression is not the literal zero; every other row
+    evaluates to exactly 0.0.
     """
 
     def __init__(self, m, h: PerturbationField | None = None, order=1):
@@ -272,6 +274,7 @@ class MetricField:
         self._first = {(k, key): self._D[k](g[key]) for key in _COMP_KEYS for k in range(4)}
         order1 = tuple([g[key] for key in _COMP_KEYS]
                        + [self._first[(k, key)] for k in range(4) for key in _COMP_KEYS])
+        self.nonzero_rows = tuple(i for i, e in enumerate(order1) if e != 0)
         self._order = order
         self._rows = _compiled(CHART, order1 + self._order2() if order == 2 else order1)
 

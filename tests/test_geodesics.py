@@ -3,11 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from nullinf import bondi, geodesics, tensors
 from nullinf.compactify import inverse_tortoise
 from nullinf.geodesics import _cumulative_simpson, _sweep_force, integrate_radial_null_geodesic, retarded_time
-from nullinf.metrics import RHO0, MetricField, PerturbationField, Weights, rate_saturating_field, schwarzschild_exact
+from nullinf.metrics import (
+    PH,
+    RHO0,
+    RHOI,
+    TH,
+    MetricField,
+    PerturbationField,
+    Weights,
+    rate_saturating_field,
+    schwarzschild_exact,
+)
 
 warnings.filterwarnings("ignore", message="tail truncation")
 
@@ -104,8 +115,6 @@ def test_retarded_time_schwarzschild():
 def _long_range_pair(c):
     # order-one h_01 with the matching decaying h_00, so the long-range
     # structure of the outgoing cones is unchanged
-    from nullinf.metrics import RHOI
-
     return PerturbationField({"01": c, "00": c * RHOI}, Weights())
 
 
@@ -170,16 +179,34 @@ def _gamma_route_force(metric, x):
     return lambda v: np.einsum("...kmn,...m,...n->...k", gam, v, v)
 
 
-def _news_field():
-    h, _ = bondi.news_compatible_field(0.1, 1 / (1 + 5 * RHO0))
+def _news_field(mode=(2, 0)):
+    h, _ = bondi.news_compatible_field(0.1, 1 / (1 + 5 * RHO0), mode=mode)
     return h
 
 
-@pytest.mark.parametrize("field", [None, rate_saturating_field, _news_field])
+def _news_field_21():
+    return _news_field((2, 1))
+
+
+def _all_ten_field():
+    # the rate-saturating field with the four slots it leaves empty filled in, so
+    # every block of the metric, the coupling of null and sphere included, is perturbed
+    h = rate_saturating_field()
+    amp, w = sp.Rational(1, 20), h.weights
+    a0 = amp * RHO0 ** sp.nsimplify(w.b0)
+    aI, aIp = RHOI ** sp.nsimplify(w.bI), RHOI ** sp.nsimplify(w.bI_prime)
+    st, ct, cp = sp.sin(TH), sp.cos(TH), sp.cos(PH)
+    extra = {"02": a0 * aIp * st * ct, "03": a0 * aIp * st**2 * cp,
+             "13": a0 * (1 + aI) * st**2 / 2, "23": a0 * (1 + aI) * st**3 * cp / 2}
+    return PerturbationField({**h.comps, **extra}, w, label="all-ten")
+
+
+@pytest.mark.parametrize("field", [None, rate_saturating_field, _news_field, _news_field_21, _all_ten_field])
 def test_sweep_force_matches_the_connection_route(monkeypatch, field):
     g = MetricField(0.1, field() if field else None)
     targets = np.array([[1.1, 0.7], [0.4, 2.0], [2.5, 4.0]])
     traj = integrate_radial_null_geodesic(g, -20.0, targets, s0=20.0)
+    assert traj.tail_bound < 1e-8
     monkeypatch.setattr(geodesics, "_sweep_force", _gamma_route_force)
     ref = integrate_radial_null_geodesic(g, -20.0, targets, s0=20.0)
     assert traj.iterations == ref.iterations
@@ -194,6 +221,15 @@ def test_sweep_force_matches_the_connection_route(monkeypatch, field):
     assert rel(_sweep_force(g, ref.x)(ref.v), _gamma_route_force(g, ref.x)(ref.v)) <= 1e-14
     assert rel(traj.x, ref.x) <= 1e-13
     assert rel(traj.v, ref.v) <= 1e-13
+
+
+def test_a_singular_metric_on_the_geodesics_is_an_error_not_a_warning():
+    # at theta = 0 the sphere block of the perturbed metric has a zero determinant
+    g = MetricField(0.1, rate_saturating_field())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the metric is singular on the sampled geodesics: its sphere block "):
+            integrate_radial_null_geodesic(g, -30.0, np.array([[1.1, 0.7], [0.0, 0.7]]))
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2), (3,), (4, 3), ()])

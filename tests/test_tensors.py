@@ -29,6 +29,7 @@ from nullinf.metrics import (
     _diff_ops,
     compile_fields,
     manufactured_suite,
+    rate_saturating_field,
     schwarzschild_exact,
 )
 from nullinf.leading_terms import excess_decay_slopes
@@ -543,6 +544,27 @@ def test_gathered_metric_matches_scatter_assembly(label, batch, order):
     assert np.array_equal(ev.d2g, d2g)
     assert np.array_equal(gamma, tn.christoffel(ref))
     assert np.array_equal(riem, tn.riemann_ricci(ref)[0])
+
+
+def _zero_row_fields():
+    news = [pytest.param(lambda mode=mode: news_compatible_field(0.1, 1 / (1 + 5 * RHO0), mode=mode)[0],
+                         id=f"news-{mode[0]}{mode[1]}") for mode in ((2, 0), (2, 1))]
+    suite = [pytest.param(lambda i=i: manufactured_suite()[i], id=f"suite-{i}") for i in range(6)]
+    return suite + news + [pytest.param(rate_saturating_field, id="rate-saturating"),
+                           pytest.param(lambda: None, id="background")]
+
+
+@pytest.mark.parametrize("field", _zero_row_fields())
+def test_rows_left_out_of_nonzero_rows_evaluate_to_zero(field):
+    # the Picard force reads only the rows a field records as non-zero
+    mf = MetricField(0.1, field())
+    q, s, th, ph = (x.reshape(30, 9) for x in random_points(np.random.default_rng(11), 270, 0.1))
+    rows = mf.at(q, s, th, ph).rows
+    kept = list(mf.nonzero_rows)
+    assert kept == sorted(set(kept)) and kept[-1] < len(rows)
+    left_out = np.delete(rows, kept, axis=0)
+    assert len(left_out) == len(rows) - len(kept) and np.all(left_out == 0.0)
+    assert np.all(np.any(rows[kept] != 0.0, axis=(1, 2)))
 
 
 def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
