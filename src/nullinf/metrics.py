@@ -8,9 +8,14 @@ expression tuple is compiled with one common-subexpression pass into one
 vectorized numpy function: a field's component values and first coordinate
 derivatives when it is built, its second derivatives on their first use,
 or all 150 rows as one function for a field built with ``order=2``.  The
-symbolic calculus of the round sphere (trace, index raising, contraction,
-covariant derivative and divergence) is written here once for every module
-that builds angular expressions.
+code is numpy's printer's, except that an integer power of s prints as
+``(-s)**n`` for even n and ``(-(-s)**n)`` for odd n: s < 0 on the whole
+chart, and numpy's vectorized ``power`` takes a scalar loop for a negative
+base.  The rule keys on the symbol ``S``, not on sympy's sign assumptions,
+which take r and theta as nonpositive too.  The symbolic calculus of the
+round sphere (trace, index raising, contraction, covariant derivative and
+divergence) is written here once for every module that builds angular
+expressions.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .compactify import _mass, double_null_radius
 
@@ -125,22 +131,51 @@ def compile_fields(args, items):
     return evaluate
 
 
+class _ChartPrinter(NumPyPrinter):
+    """numpy's printer, with ``S**n`` for an integer n printed as ``(-s)**n``
+    (even n) or ``(-(-s)**n)`` (odd n)."""
+
+    def __init__(self):
+        # the settings of the printer lambdify makes when given none
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True, "user_functions": {}})
+
+    def _print_Pow(self, expr, rational=False):
+        if expr.base != S or not expr.exp.is_Integer:
+            return super()._print_Pow(expr, rational=rational)
+        flipped = super()._print_Pow(sp.Pow(-S, expr.exp, evaluate=False), rational=rational)
+        return f"(-{flipped})" if expr.exp % 2 else flipped
+
+
 @lru_cache(maxsize=1024)
 def _compiled(args, exprs):
     """One CSE and one compiled numpy function of the expression tuple ``exprs``.
 
     The returned callable fills an array of shape ``(len(exprs), *broadcast
-    shape of the inputs)``, one contiguous row per expression.
+    shape of the inputs)``, one contiguous row per expression; rows whose
+    expression is the literal zero are left as the zeros they start from.
+    The code is numpy's printer's except for integer powers of ``S``, which
+    are printed through ``-s`` (``_ChartPrinter``) so that numpy raises a
+    positive base (s < 0 on the whole chart, and numpy's vectorized
+    ``power`` takes a scalar loop for a negative base).  The rule keys on
+    ``S`` itself, not on ``is_nonpositive``: every chart symbol is declared
+    ``positive=False``, so sympy takes r and theta, which are positive, as
+    nonpositive too, and their powers would go the slow way.  These powers
+    differ from ``s**n`` by at most one ulp, and not at all for n = -1 and
+    n = 2.
     """
     # the module, not the name "numpy", which makes sympy run ``from numpy
     # import *`` (numpy.f2py, numpy.testing); no docstring and no search for
     # implemented functions, which would walk the unreduced expressions
-    fn = sp.lambdify(args, exprs, modules=[np], cse=True, docstring_limit=0, use_imps=False)
+    fn = sp.lambdify(args, exprs, modules=[np], printer=_ChartPrinter(), cse=True, docstring_limit=0,
+                     use_imps=False)
+    nonzero = [i for i, e in enumerate(exprs) if e != 0]
 
     def rows(*values):
-        out = np.empty((len(exprs),) + np.broadcast_shapes(*(np.shape(v) for v in values)))
-        for i, row in enumerate(fn(*values)):
-            out[i] = row
+        out = np.zeros((len(exprs),) + np.broadcast_shapes(*(np.shape(v) for v in values)))
+        computed = fn(*values)
+        for i in nonzero:
+            out[i] = computed[i]
         return out
 
     return rows

@@ -258,26 +258,6 @@ def test_newton_quadratic_convergence_and_leading_stability():
     assert abs(fits[0][1] - fits[1][1]) < 1e-6
 
 
-def test_newton_solves_the_linear_u0_mode_once(monkeypatch):
-    calls = []
-    march = mp._march
-
-    def counted(*args):
-        calls.append(args[1])
-        return march(*args)
-
-    monkeypatch.setattr(mp, "_march", counted)
-    f0, f1 = toy_setup()
-    for steps in (3, 8):
-        calls.clear()
-        iterates, _, _ = mp.newton_iterate(GRID, 0.5, forcing=(f0, f1, None), steps=steps)
-        # the sweeps after the third repeat the third, so they are not marched
-        sweeps = min(steps, 3)
-        assert len(calls) == 1 + 2 * sweeps
-        assert calls[0] == 0.5 and calls[1:] == [0.0] * (2 * sweeps)
-        assert all(it[0] is iterates[0][0] for it in iterates)
-
-
 def newton_every_sweep(grid, gamma, forcing, steps):
     """The global iteration marching every one of its sweeps: the reference."""
     rho0 = grid.rho0[:, None]
@@ -340,8 +320,12 @@ def test_newton_matches_the_every_sweep_reference(name):
     assert all(it is iterates[2] for it in iterates[2:])
 
 
-@pytest.mark.parametrize("name, marches", [("toy", 7), ("zero", 3)])
-def test_newton_stops_marching_at_its_fixed_point(monkeypatch, name, marches):
+@pytest.mark.parametrize("name, steps, marches", [
+    pytest.param("toy", 8, 7, id="toy-7"),
+    pytest.param("zero", 8, 3, id="zero-3"),
+    pytest.param("toy", 3, 7, id="toy-7-3steps"),
+])
+def test_newton_stops_marching_at_its_fixed_point(monkeypatch, name, steps, marches):
     gammas = []
     march = mp._march
 
@@ -350,8 +334,10 @@ def test_newton_stops_marching_at_its_fixed_point(monkeypatch, name, marches):
         return march(*args)
 
     monkeypatch.setattr(mp, "_march", counted)
-    mp.newton_iterate(GRID, 0.5, forcing_patterns()[name], steps=8)
+    iterates, _, _ = mp.newton_iterate(GRID, 0.5, forcing_patterns()[name], steps=steps)
+    # the linear u0 mode once, then two marches a sweep until the sweeps repeat
     assert gammas == [0.5] + [0.0] * (marches - 1)
+    assert len(iterates) == steps and all(it[0] is iterates[0][0] for it in iterates)
 
 
 # -- the march against the column-loop reference ---------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from nullinf.metrics import (
     PH,
     ROUND_INV,
     ROUND_METRIC,
+    S,
     TH,
     MetricField,
     PerturbationField,
@@ -497,8 +499,10 @@ def scatter_assembly(vals, n):
 def direct_compile_columns(mf, order, r, q, s, th, ph):
     """Reference: the 150 component and derivative expressions compiled by ``lambdify``.
 
-    ``order=2`` compiles all of them in one CSE, ``order=1`` the 50 order <= 1
-    expressions and the 100 order-2 ones apart, as the field builds them.
+    They are printed by the compiled fields' printer, whose powers of s differ
+    from the default numpy printer's in the last bit.  ``order=2`` compiles
+    all of them in one CSE, ``order=1`` the 50 order <= 1 expressions and the
+    100 order-2 ones apart, as the field builds them.
     """
     g = mf._component_exprs()
     D = _diff_ops(mf.m)
@@ -507,8 +511,9 @@ def direct_compile_columns(mf, order, r, q, s, th, ph):
     exprs += [first[(k, key)] for k in range(4) for key in _COMP_KEYS]
     exprs += [D[l](first[(k, key)]) for k in range(4) for l in range(k, 4) for key in _COMP_KEYS]
     groups = [exprs] if order == 2 else [exprs[:50], exprs[50:]]
-    return np.stack([np.broadcast_to(col, r.shape) for group in groups
-                     for col in sp.lambdify(CHART, group, modules="numpy", cse=True)(r, q, s, th, ph)], axis=-1)
+    compiled = [sp.lambdify(CHART, group, modules="numpy", printer=metrics._ChartPrinter(), cse=True)
+                for group in groups]
+    return np.stack([np.broadcast_to(col, r.shape) for fn in compiled for col in fn(r, q, s, th, ph)], axis=-1)
 
 
 def perturbation_for(label):
@@ -663,9 +668,22 @@ def test_lambdify_called_only_inside_compile_fields():
     assert "_compiled(" in inspect.getsource(metrics.compile_fields)
 
 
-@pytest.mark.parametrize("index", range(len(manufactured_suite())))
-def test_compiled_source_is_the_numpy_printers(monkeypatch, index):
-    # the module passed to lambdify prints the same code as the name "numpy"
+#: a printed integer power of the bare argument s
+_S_POWER = re.compile(r"\bs\*\*(\d+|\(-\d+\.0\))")
+
+
+def chart_printed(source):
+    """``source`` with each ``s**k`` printed as ``(-s)**k`` for even k, ``(-(-s)**k)`` for odd k."""
+
+    def flip(match):
+        k = match.group(1)
+        return f"(-s)**{k}" if int(float(k.strip("()"))) % 2 == 0 else f"(-(-s)**{k})"
+
+    return _S_POWER.sub(flip, source)
+
+
+def compiled_sources(monkeypatch, h):
+    """The source of a field's compiled order <= 1 rows, and the default numpy printer's."""
     made = []
     lambdify = sp.lambdify
 
@@ -675,10 +693,49 @@ def test_compiled_source_is_the_numpy_printers(monkeypatch, index):
 
     monkeypatch.setattr(metrics.sp, "lambdify", recording)
     monkeypatch.setattr(metrics, "_compiled", metrics._compiled.__wrapped__)   # past the memo
-    MetricField(0.1, manufactured_suite()[index])
+    MetricField(0.1, h)
     ((args, exprs, fn),) = made
-    named = lambdify(args, exprs, modules="numpy", cse=True)
-    assert inspect.getsource(fn) == inspect.getsource(named)
+    return inspect.getsource(fn), inspect.getsource(lambdify(args, exprs, modules="numpy", cse=True))
+
+
+@pytest.mark.parametrize("index", range(len(manufactured_suite())))
+def test_compiled_source_is_the_numpy_printers(monkeypatch, index):
+    # the module passed to lambdify prints the same code as the name "numpy",
+    # but for integer powers of s
+    source, named = compiled_sources(monkeypatch, manufactured_suite()[index])
+    assert source.splitlines() == chart_printed(named).splitlines()
+    assert not re.search(r"\bs\*\*", source)
+
+
+def test_news_field_raises_no_bare_s_to_a_power(monkeypatch):
+    source, named = compiled_sources(monkeypatch, news_compatible_field(0.1, 1 / (1 + 5 * RHO0))[0])
+    assert re.search(r"\bs\*\*", named) and not re.search(r"\bs\*\*", source)
+    assert source.splitlines() == chart_printed(named).splitlines()
+    # both branches of the rule: an even power and an odd one
+    assert "(-(-s)**" in source and "(-s)**" in source.replace("(-(-s)**", "")
+
+
+@pytest.mark.parametrize("expr, printed", [
+    (S**2, "(-s)**2"), (S**3, "(-(-s)**3)"), (S**-1, "(-(-s)**(-1.0))"), (S**-2, "(-s)**(-2.0)"),
+    (RR * S**4, "r*(-s)**4"),
+    # only integer powers of s itself
+    (RR**2, "r**2"), (TH**3, "theta**3"), ((RR + S)**2, "(r + s)**2"), (S**sp.Rational(3, 2), "s**(3/2)"),
+], ids=str)
+def test_chart_printer_flips_only_integer_powers_of_s(expr, printed):
+    assert metrics._ChartPrinter().doprint(expr) == printed
+
+
+def test_compiled_powers_of_s_are_within_one_ulp_of_numpy_power():
+    rng = np.random.default_rng(17)
+    # the chart's s < 0, and a few s > 0 for the sign
+    s = np.concatenate([-np.exp(rng.uniform(-8.0, 8.0, 100_000)), np.exp(rng.uniform(-3.0, 3.0, 16))])
+    for k in range(-4, 5):
+        (got,) = compile_fields((S,), [S**k])(s)
+        ref = np.power(s, k)
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref))), k
+        assert np.array_equal(np.sign(got), np.sign(ref)), k
+        if k in (-1, 0, 1, 2):   # a reciprocal or a square: rounded alike
+            assert np.array_equal(got, ref), k
 
 
 def test_inverse_tortoise_called_only_inside_compactify():
