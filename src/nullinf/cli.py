@@ -39,11 +39,10 @@ def _fmt(value):
 
 
 def emit_csv(header, rows, path: Path):
-    """Write one table: header, then rows at 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write one table: header, then each row as it comes, at 17 significant digits."""
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 @dataclass
@@ -201,10 +200,11 @@ RELATIONS = {
         # the leading-term fits square residuals of the solution, which is linear in
         # the amplitude; 1e150 squared stays 1e8 below the largest float
         ("abs(forcing_amplitude) <= 1e150", lambda v: abs(v["forcing_amplitude"]) <= 1e150),
-        # time and memory grow with the cells, about 720 bytes a cell, nearly all in the
-        # solution CSV's rows (the march keeps 16): one run takes 3-4 s and 260 MB at
-        # 263,169 cells, 16-18 s and 830 MB at 1,050,625 (2-vCPU host).  A span
-        # eps / rho_min too large for a float has no finite count of cells
+        # time and the solution CSV grow with the cells, about 111 bytes a cell on disk;
+        # the rows are written as they come, so the memory that grows is the march's 16: one
+        # run takes 1.6-1.7 s and 73 MB for a 29 MB CSV at 263,169 cells, 5.8-6.7 s and
+        # 86 MB for 117 MB at 1,050,625 (2-vCPU host).  A span eps / rho_min too large
+        # for a float has no finite count of cells
         ("cells(eps, rho_min, points_per_decade) <= 1.1e6",
          lambda v: math.isfinite(v["eps"] / v["rho_min"]) and _model_grid(v).cells <= 1.1e6),
         # the march takes ell (ell + 1) as a float
@@ -363,21 +363,25 @@ def run_model_pde(opts, outdir: Path) -> RunReport:
     forcing = lambda r0, rI: amp * bump(r0, 2e-2, 0.6) * bump(rI, center, 0.4)
     sol = mp.solve_damped_mode(grid, gamma, forcing)
 
-    rows = []
-    for i, r0 in enumerate(grid.rho0):
-        for j, rI in enumerate(grid.rhoI):
-            rows.append((r0, rI, grid.ell, "u", sol.u[i, j]))
-            rows.append((r0, rI, grid.ell, "w", sol.w[i, j]))
-    emit_csv(("rho0", "rhoI", "l", "component", "value"), rows, outdir / "modelpde_solution.csv")
+    def cells():
+        # each grid node is formatted once, and the values are read one rho0 row at a time
+        rhoI = [_fmt(x) for x in grid.rhoI]
+        for r0, u, w in zip(grid.rho0, sol.u, sol.w):
+            r0 = _fmt(r0)
+            for rI, u_ij, w_ij in zip(rhoI, u.tolist(), w.tolist()):
+                yield r0, rI, grid.ell, "u", u_ij
+                yield r0, rI, grid.ell, "w", w_ij
+
+    emit_csv(("rho0", "rhoI", "l", "component", "value"), cells(), outdir / "modelpde_solution.csv")
 
     fit = sol.leading_fit("const", rho0_value=0.05)
     fit_log = sol.leading_fit("log+const", rho0_value=0.05)
     emit_csv(
         ("component", "c_log", "c0", "exponent", "residual"),
-        [
+        (
             ("u", 0.0, fit.c0, fit.exponent if fit.exponent is not None else 0.0, fit.residual),
             ("u-logmodel", fit_log.c_log, fit_log.c0, 0.0, fit_log.residual),
-        ],
+        ),
         outdir / "modelpde_summary.csv",
     )
     if gamma > 0:
@@ -397,13 +401,9 @@ def run_geodesics(opts, outdir: Path) -> RunReport:
         s0=opts["s0"],
     )
     nn = traj.null_norm(metric)
-    rows = [
-        (traj.s[i], *traj.x[i], *traj.v[i], nn[i])
-        for i in range(len(traj.s))
-    ]
     emit_csv(
         ("s", "x0", "x1", "x2", "x3", "v0", "v1", "v2", "v3", "nullnorm"),
-        rows,
+        ((s, *x, *v, n) for s, x, v, n in zip(traj.s, traj.x, traj.v, nn)),
         outdir / "trajectory.csv",
     )
     report.add("null-norm", 0.0, np.max(np.abs(nn)), opts["null_norm_tol"])
@@ -436,7 +436,7 @@ def run_bondi(opts, outdir: Path) -> RunReport:
     rep = bd.evolve_mass_aspect(news, m, u, quad=(opts["quad_theta"], opts["quad_phi"]))
     emit_csv(
         ("u", "M_B", "E", "budget_residual"),
-        list(zip(rep.u, rep.mass, rep.flux, rep.budget_residual)),
+        zip(rep.u, rep.mass, rep.flux, rep.budget_residual),
         outdir / "bondi_report.csv",
     )
     report.add("mass-loss-budget", 0.0, np.max(rep.budget_residual), opts["budget_tol"])
@@ -475,23 +475,17 @@ def run_verify_appendix(opts, outdir: Path) -> RunReport:
         # the fields late in the suite cost the most: submit them first
         futures = [pool.submit(check_field, i, opts) for i in reversed(range(count))]
         fields = [f.result() for f in reversed(futures)]
-    rows = []
     for label, checks in fields:
         for c in checks:
-            rows.append(
-                (
-                    c.line_id,
-                    label,
-                    c.max_abs_diff,
-                    c.leading_scale,
-                    c.slope if math.isfinite(c.slope) else 99.0,
-                    "pass" if c.passed else "fail",
-                )
-            )
             report.add(f"{label}/{c.line_id}", 0.0, 0.0 if c.passed else max(c.required - c.slope, 1.0), 0.0)
     emit_csv(
         ("line_id", "point", "numeric", "leading_formula", "fitted_excess_decay", "pass"),
-        rows,
+        (
+            (c.line_id, label, c.max_abs_diff, c.leading_scale,
+             c.slope if math.isfinite(c.slope) else 99.0, "pass" if c.passed else "fail")
+            for label, checks in fields
+            for c in checks
+        ),
         outdir / "appendix_lines.csv",
     )
     return report

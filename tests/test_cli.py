@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -26,14 +27,25 @@ def write_config(path: Path, text: str) -> Path:
     return cfg
 
 
-def test_emit_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("value, text", [
+    (1.0 / 3.0, "0.33333333333333331"),  # 17 digits round-trip
+    (np.float64(2.0), "2"),
+    (-0.0, "-0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (np.float32(-np.inf), "-inf"),
+    (7, "7"),
+    (np.int64(-7), "-7"),
+    ("x", "x"),
+])
+def test_emit_csv_round_trip(tmp_path, value, text):
     path = tmp_path / "t.csv"
-    cli.emit_csv(("a", "b"), [(1.0 / 3.0, "x"), (2.0, "y")], path)
-    text = path.read_text()
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert lines[0] == "a,b"
-    assert float(lines[1].split(",")[0]) == 1.0 / 3.0  # 17 digits round-trip
+    rows = ((value, "y") for _ in range(2))
+    cli.emit_csv(("a", "b"), rows, path)
+    assert next(rows, None) is None  # the one-shot generator is consumed
+    assert path.read_text() == f"a,b\n{text},y\n{text},y\n"
+    if isinstance(value, float) and np.isfinite(value):
+        assert float(text) == value
 
 
 def test_emit_csv_empty_table(tmp_path):
@@ -481,6 +493,62 @@ def test_model_pde_subcommand(tmp_path):
     assert cli.run("model-pde", cfg, out) == 0
     header = (out / "modelpde_solution.csv").read_text().splitlines()[0]
     assert header == "rho0,rhoI,l,component,value"
+
+
+def _record_model_solutions(monkeypatch):
+    """The solutions that ``run_model_pde`` computes, in the order it solves them."""
+    solutions = []
+    solve = cli.mp.solve_damped_mode
+
+    def recorded(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli.mp, "solve_damped_mode", recorded)
+    return solutions
+
+
+def _list_and_join_csv(header, rows, path):
+    """The table writer that held every line in one list, then in one string."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("raw", [
+    {},  # 65 x 65: the last block of the march has 1 row
+    {"ell": "2"},
+    {"eps": "0.05", "rho_min": "2e-5", "points_per_decade": "20"},
+], ids=["default", "ell-2", "eps-0.05"])
+def test_model_pde_solution_csv_equals_the_list_writer(tmp_path, monkeypatch, raw):
+    solutions = _record_model_solutions(monkeypatch)
+    cli.run_model_pde(cli.resolve_options("model-pde", raw), tmp_path)
+    (sol,) = solutions
+    grid = sol.grid
+    rows = []
+    for i, r0 in enumerate(grid.rho0):
+        for j, rI in enumerate(grid.rhoI):
+            rows.append((r0, rI, grid.ell, "u", sol.u[i, j]))
+            rows.append((r0, rI, grid.ell, "w", sol.w[i, j]))
+    want = tmp_path / "want.csv"
+    _list_and_join_csv(("rho0", "rhoI", "l", "component", "value"), rows, want)
+    assert (tmp_path / "modelpde_solution.csv").read_bytes() == want.read_bytes()
+
+
+def test_model_pde_peak_memory_stays_near_its_solution(tmp_path, monkeypatch):
+    # 66,049 cells: the solution CSV is written one row at a time, not built in memory
+    solutions = _record_model_solutions(monkeypatch)
+    opts = cli.resolve_options("model-pde", {"points_per_decade": "64"})
+    tracemalloc.start()
+    try:
+        cli.run_model_pde(opts, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (sol,) = solutions
+    assert sol.u.shape == (257, 257)
+    assert peak <= 4 * (sol.u.nbytes + sol.w.nbytes)
 
 
 @pytest.mark.parametrize("text", ["forcing_amplitude = 0\n", "forcing_center = 10\n"])
