@@ -5,7 +5,8 @@ with the improper integrals carried out in the reciprocal variable so that
 the anchoring at the radiation face is exact up to a reported tail bound.
 Targets are batched: one call integrates a whole congruence.
 
-Each sweep evaluates the metric once along the current positions.  On a
+Each sweep evaluates the metric once along the current positions, and drops
+that evaluation before the next sweep makes its own.  On a
 perturbed metric the force Gamma v v is the first-kind symbols contracted
 with v, summed from the compiled derivative rows the field records as
 non-zero, and solved with g by its 2+2 blocks (sphere block, then the Schur
@@ -272,6 +273,7 @@ def integrate_radial_null_geodesic(
         # already far below any resolvable scale
         if len(diffs) >= 4 and change < flo and change > 0.5 * diffs[-2]:
             break
+        del force  # the next sweep evaluates the metric without this one's rows and inverses alive
     else:
         raise RuntimeError("Picard iteration did not converge within the cap")
 

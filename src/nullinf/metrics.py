@@ -7,15 +7,17 @@ dependence is differentiated exactly via dr/dr_* = 1 - 2m/r.  Each
 expression tuple is compiled with one common-subexpression pass into one
 vectorized numpy function: a field's component values and first coordinate
 derivatives when it is built, its second derivatives on their first use,
-or all 150 rows as one function for a field built with ``order=2``.  The
-code is numpy's printer's, except that an integer power of s prints as
-``(-s)**n`` for even n and ``(-(-s)**n)`` for odd n: s < 0 on the whole
-chart, and numpy's vectorized ``power`` takes a scalar loop for a negative
-base.  The rule keys on the symbol ``S``, not on sympy's sign assumptions,
-which take r and theta as nonpositive too.  The symbolic calculus of the
-round sphere (trace, index raising, contraction, covariant derivative and
-divergence) is written here once for every module that builds angular
-expressions.
+or all 150 rows as one function for a field built with ``order=2``.  An
+evaluation gives one read-only row per expression, the function's own result
+broadcast to the points, so no table of rows is filled or copied; ``g``,
+``dg`` and ``d2g`` stack only the rows they name.  The code is numpy's
+printer's, except that an integer power of s prints as ``(-s)**n`` for even
+n and ``(-(-s)**n)`` for odd n: s < 0 on the whole chart, and numpy's
+vectorized ``power`` takes a scalar loop for a negative base.  The rule keys
+on the symbol ``S``, not on sympy's sign assumptions, which take r and theta
+as nonpositive too.  The symbolic calculus of the round sphere (trace,
+index raising, contraction, covariant derivative and divergence) is written
+here once for every module that builds angular expressions.
 """
 
 from __future__ import annotations
@@ -113,20 +115,25 @@ def compile_fields(args, items):
     """Compile sympy scalars, arrays and matrices in ``args`` to one vectorized numpy callable.
 
     The callable passes one value per symbol to the compiled code unchanged and
-    returns one C-contiguous float array per item, in order, of shape
-    ``(*broadcast shape of the inputs, *item shape)``, constant entries broadcast.
+    returns one new C-contiguous float array per item, in order, of shape
+    ``(*broadcast shape of the inputs, *item shape)``, constant entries broadcast;
+    each item's rows are stacked straight into it.
     The entries are compiled as one row-major list; equal lists share one function.
     """
     # each item as an object array of its entries, a scalar as a 0-d one
     arrays = [np.array(item.tolist() if isinstance(item, (sp.MatrixBase, sp.NDimArray)) else item, dtype=object)
               for item in items]
     rows_of = _compiled(tuple(args), tuple(e for a in arrays for e in a.flat))
-    offsets = np.cumsum([a.size for a in arrays])[:-1]
+    starts = np.cumsum([0] + [a.size for a in arrays])
 
     def evaluate(*values):
         rows = rows_of(*values)
-        return [np.moveaxis(block, 0, -1).reshape(rows.shape[1:] + a.shape).copy()
-                for block, a in zip(np.split(rows, offsets), arrays)]
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        items = [np.empty(shape + a.shape) for a in arrays]
+        for item, a, start in zip(items, arrays, starts):
+            if a.size:  # an item with no entries has nothing to stack
+                np.stack(rows[start:start + a.size], axis=-1, out=item.reshape(shape + (a.size,)))
+        return items
 
     return evaluate
 
@@ -151,9 +158,11 @@ class _ChartPrinter(NumPyPrinter):
 def _compiled(args, exprs):
     """One CSE and one compiled numpy function of the expression tuple ``exprs``.
 
-    The returned callable fills an array of shape ``(len(exprs), *broadcast
-    shape of the inputs)``, one contiguous row per expression; rows whose
-    expression is the literal zero are left as the zeros they start from.
+    The returned callable gives one read-only row per expression, of the
+    broadcast shape of the inputs: the compiled function's own result,
+    broadcast, so no table is allocated or copied; a row whose expression is
+    the literal zero is a broadcast 0.0.  Rows are read-only because they may
+    share memory with each other or with the inputs.
     The code is numpy's printer's except for integer powers of ``S``, which
     are printed through ``-s`` (``_ChartPrinter``) so that numpy raises a
     positive base (s < 0 on the whole chart, and numpy's vectorized
@@ -169,14 +178,10 @@ def _compiled(args, exprs):
     # implemented functions, which would walk the unreduced expressions
     fn = sp.lambdify(args, exprs, modules=[np], printer=_ChartPrinter(), cse=True, docstring_limit=0,
                      use_imps=False)
-    nonzero = [i for i, e in enumerate(exprs) if e != 0]
 
     def rows(*values):
-        out = np.zeros((len(exprs),) + np.broadcast_shapes(*(np.shape(v) for v in values)))
-        computed = fn(*values)
-        for i in nonzero:
-            out[i] = computed[i]
-        return out
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        return tuple(np.broadcast_to(np.asarray(row, dtype=float), shape) for row in fn(*values))
 
     return rows
 
@@ -240,11 +245,11 @@ _G_ROWS, _DG_ROWS, _D2G_ROWS = _row_tables()
 
 
 def _gather(rows, index):
-    """Points-first view of ``rows[index]``.
+    """Points-first view of the rows ``index`` names, stacked into one new array.
 
     The index axes stay outermost in memory, so no transpose is copied.
     """
-    picked = rows[index]
+    picked = np.stack([rows[i] for i in index.flat]).reshape(index.shape + rows[0].shape)
     return np.moveaxis(picked, tuple(range(index.ndim)), tuple(range(-index.ndim, 0)))
 
 
@@ -252,10 +257,10 @@ def _gather(rows, index):
 class MetricEval:
     """Metric data evaluated on a batch of points.
 
-    ``rows`` holds the 50 order <= 1 rows: the ten components, then their
-    first derivatives.  ``g`` and ``dg`` are gathered from it on first read,
-    ``d2g`` from the 100 order-2 rows of ``second()``, which a default field
-    evaluates only on that first read.
+    ``rows`` is the sequence of the 50 read-only order <= 1 rows: the ten
+    components, then their first derivatives.  ``g`` and ``dg`` are gathered
+    from it on first read, ``d2g`` from the 100 order-2 rows of ``second()``,
+    which a default field evaluates only on that first read.
     """
 
     r: np.ndarray
@@ -263,8 +268,8 @@ class MetricEval:
     s: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    rows: np.ndarray                     # (50, N)
-    second: Callable[[], np.ndarray]     # the (100, N) order-2 rows
+    rows: tuple[np.ndarray, ...]                  # 50 rows of shape (N,)
+    second: Callable[[], tuple[np.ndarray, ...]]  # the 100 order-2 rows
 
     @cached_property
     def g(self):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,22 @@ def news_congruence(news_metric):
     gp, _ = news_metric
     th, ph, w = bd.sphere_quadrature(8, 12)
     return bd.Congruence(gp, -20.0, th, ph, s0=20.0), w
+
+
+def test_congruence_peak_memory_stays_near_one_sweeps_rows(news_metric):
+    # 216 geodesics, 48,600 metric points a sweep: one evaluation alive at a time,
+    # and its rows are the compiled function's own results, not copied into a table
+    gp, _ = news_metric
+    th, ph, _ = bd.sphere_quadrature(4, 6)
+    tracemalloc.start()
+    try:
+        con = bd.Congruence(gp, -20.0, th, ph, s0=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = con.traj.x[..., 0].size
+    assert points == 48_600
+    assert peak <= 2 * 50 * points * 8
 
 
 # -- cut geometry ---------------------------------------------------------------

@@ -567,9 +567,14 @@ def test_rows_left_out_of_nonzero_rows_evaluate_to_zero(field):
     rows = mf.at(q, s, th, ph).rows
     kept = list(mf.nonzero_rows)
     assert kept == sorted(set(kept)) and kept[-1] < len(rows)
-    left_out = np.delete(rows, kept, axis=0)
-    assert len(left_out) == len(rows) - len(kept) and np.all(left_out == 0.0)
-    assert np.all(np.any(rows[kept] != 0.0, axis=(1, 2)))
+    left_out = [row for i, row in enumerate(rows) if i not in kept]
+    assert len(left_out) == len(rows) - len(kept) and all(np.all(row == 0.0) for row in left_out)
+    assert all(np.any(rows[i] != 0.0) for i in kept)
+    # rows may share memory with each other and with the points, so none can be written
+    for row in rows:
+        assert row.shape == (30, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = 1.0
 
 
 def test_christoffel_compiles_only_the_first_order_group(monkeypatch):
@@ -638,6 +643,8 @@ def test_compile_fields_shape_constants_and_memo(monkeypatch):
     # each item in its own shape, in input order, after the broadcast shape of the inputs
     assert [a.shape for a in out] == [(7,), (7, 2), (7, 2, 2), (7,)]
     assert all(a.dtype == float and a.flags.c_contiguous for a in out)
+    # every item is its own writeable array, never a view of a shared row
+    assert all(a.flags.writeable and a.flags.owndata for a in out)
     # constant entries are broadcast
     assert np.all(out[1][:, 0] == 1.5) and np.all(out[2][:, 0, 1] == 1.0) and np.all(out[3] == 0.0)
     entries = [items[0], *items[1], *items[2], items[3]]
@@ -648,7 +655,10 @@ def test_compile_fields_shape_constants_and_memo(monkeypatch):
     # scalar inputs give 0-d items
     point = compile_fields((x, y), items)(0.3, 0.4)
     assert [a.shape for a in point] == [(), (2,), (2, 2), ()]
+    assert all(a.flags.writeable and a.flags.owndata for a in point)
     assert float(point[0]) == pytest.approx(0.3 * math.exp(0.4) + math.sin(0.3) ** 2, rel=1e-15)
+    # an item with no entries keeps its shape
+    assert [a.shape for a in compile_fields((x, y), [x, sp.Array([])])(xs, 0.4)] == [(7,), (7, 0)]
     # equal arguments share one compiled function: a second call makes no new lambdify
     calls = []
     lambdify = sp.lambdify
